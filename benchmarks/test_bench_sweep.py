@@ -1,5 +1,4 @@
-"""Sweep engine bench: single-pass vs per-configuration grid, and
-pure-python vs vectorized numpy replay.
+"""Sweep engine bench: single-pass stack distance vs per-configuration grid.
 
 Runs the two paper figure sweeps (the full size x associativity grid
 over the measurement trace, double warm-up methodology) through both
@@ -10,13 +9,6 @@ measured) where the grid replays it twice per configuration -- 60
 passes for the 30-point grid -- so the advantage is structural
 (core-count independent), not parallelism.
 
-The replay bench then times the bare stack-distance replay exactly as
-the figures run it (columns prepared outside the timed region, paper
-geometry, double warm-up methodology: one count=False warm pass plus
-one counted measured pass) on the pure-python engine against the
-numpy backend and records events/sec for each plus the speedup -- the
-PR-7 target is >= 10x on this payload->surface path.
-
 The engines' outputs are asserted bitwise-identical while we are
 here, on the full-scale trace the figures actually use.
 """
@@ -26,10 +18,6 @@ import time
 import pytest
 
 from repro.sweep import SweepSpec, run_sweep
-from repro.sweep import np_engine
-from repro.sweep.engine import MultiConfigLRU
-from repro.sweep.runner import _geometry, _icache_ref_columns, \
-    _itlb_ref_columns
 
 
 def _timed(spec, events):
@@ -42,7 +30,7 @@ def _timed(spec, events):
 @pytest.mark.parametrize("cache", ["itlb", "icache"])
 def test_sweep_single_pass_vs_grid(cache, events, wallclock_records):
     single, single_seconds = _timed(
-        SweepSpec(cache=cache, double_pass=True, engine="single-pass"),
+        SweepSpec(cache=cache, double_pass=True, engine="auto"),
         events)
     grid, grid_seconds = _timed(
         SweepSpec(cache=cache, double_pass=True, engine="grid"),
@@ -60,56 +48,4 @@ def test_sweep_single_pass_vs_grid(cache, events, wallclock_records):
         "wall_seconds": round(grid_seconds, 3),
         "trace_passes": grid.meta["trace_passes"],
         "speedup_single_pass": round(grid_seconds / single_seconds, 3),
-    }
-
-
-def _best_replay_seconds(make_engine, blocks, placements, repeats):
-    """Best-of-N double-pass replay (warm + measured) on a fresh
-    engine each round -- the figures' methodology, bare."""
-    best = float("inf")
-    hists = None
-    for _ in range(repeats):
-        engine = make_engine()
-        start = time.perf_counter()
-        engine.replay_columns(blocks, placements, count=False)
-        engine.replay_columns(blocks, placements, count=True)
-        best = min(best, time.perf_counter() - start)
-        hists = engine.histograms()
-    return best, hists
-
-
-@pytest.mark.slow
-@pytest.mark.skipif(not np_engine.numpy_available(),
-                    reason="numpy is not installed")
-@pytest.mark.parametrize("cache", ["itlb", "icache"])
-def test_sweep_replay_python_vs_numpy(cache, events, wallclock_records):
-    spec = SweepSpec(cache=cache, double_pass=True)
-    if cache == "itlb":
-        blocks, placements = _itlb_ref_columns(
-            events, spec.dispatched_only)
-    else:
-        blocks, placements = _icache_ref_columns(events, spec.line_words)
-    level_caps, full_cap = _geometry(spec)
-
-    py_seconds, py_hists = _best_replay_seconds(
-        lambda: MultiConfigLRU(dict(level_caps), full_cap),
-        blocks, placements, repeats=2)
-    np_seconds, np_hists = _best_replay_seconds(
-        lambda: np_engine.NumpyMultiConfigLRU(dict(level_caps), full_cap),
-        blocks, placements, repeats=3)
-
-    assert np_hists == py_hists  # bitwise, full paper geometry
-    n = 2 * len(blocks)  # warm pass + measured pass
-    speedup = py_seconds / np_seconds
-
-    wallclock_records[f"sweep::{cache}_replay_python"] = {
-        "wall_seconds": round(py_seconds, 4),
-        "events": n,
-        "events_per_second": round(n / py_seconds),
-    }
-    wallclock_records[f"sweep::{cache}_replay_numpy"] = {
-        "wall_seconds": round(np_seconds, 4),
-        "events": n,
-        "events_per_second": round(n / np_seconds),
-        "speedup_vs_python": round(speedup, 2),
     }

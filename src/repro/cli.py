@@ -10,11 +10,9 @@ Subcommands::
     repro sweep  [WORKLOAD] [--cache itlb|icache|both] [--sizes CSV]
                  [--assoc CSV] [--opt] [--full] [--warmup F] ...
                  single-pass cache sweep over a registered workload
-    repro list   [--workloads] [--experiments] [--engines]
-                 [--versions]
-                 list registered workloads, experiments, the
-                 available sweep execution backends and the
-                 package/format/semantics versions
+    repro list   [--workloads] [--experiments] [--versions]
+                 list registered workloads, experiments and the
+                 package/format/semantics/engine versions
     repro report [--run KEY] [--run-dir DIR] [--format text|json]
                  [--top N]
                  render the latest (or named) run's telemetry:
@@ -84,42 +82,18 @@ def _format_params(params) -> str:
     return ", ".join(f"{key}={params[key]}" for key in sorted(params))
 
 
-def _print_engines() -> None:
-    from repro.sweep import np_engine
-
-    print("sweep engines:")
-    print("  single-pass  pure-python stack-distance engine "
-          "(always available)")
-    print("  grid         per-configuration simulation "
-          "(always available; any policy/geometry)")
-    if np_engine.numpy_available():
-        import numpy
-        print(f"  numpy        vectorized stack-distance backend "
-              f"(available, numpy {numpy.__version__})")
-    else:
-        print("  numpy        UNAVAILABLE (numpy not importable; "
-              "pip install .[numpy])")
-    print("  auto         numpy when available and eligible, else "
-          "single-pass, else grid")
-
-
 def _print_versions() -> None:
     """The versioned surfaces a reproduced number depends on."""
     import repro
-    from repro.sweep import np_engine
+    from repro.sweep.spec import ENGINES
     from repro.trace.columnar import FORMAT_VERSION
     from repro.trace.semantics import SEMANTICS
 
-    engines = ["single-pass", "grid"]
-    if np_engine.numpy_available():
-        engines.insert(1, "numpy")
     print(f"repro {repro.__version__}")
     print(f"  trace format:  v{FORMAT_VERSION} (columnar, CRC32 "
           f"per block)")
     print(f"  semantics:     {', '.join(SEMANTICS)}")
-    print(f"  engines:       {', '.join(engines)}"
-          + ("" if np_engine.numpy_available()
-             else "  (numpy unavailable)"))
+    print(f"  engines:       {', '.join(ENGINES)}")
 
 
 def _cmd_list(args: argparse.Namespace) -> int:
@@ -130,11 +104,9 @@ def _cmd_list(args: argparse.Namespace) -> int:
     if args.versions:
         _print_versions()
         return 0
-    only_flags = (args.workloads, args.experiments, args.engines)
-    show_all = not any(only_flags)
+    show_all = not (args.workloads or args.experiments)
     show_workloads = args.workloads or show_all
     show_experiments = args.experiments or show_all
-    show_engines = args.engines or show_all
     if show_workloads:
         store = TraceStore(args.trace_dir)
         cached = store.cached_names()
@@ -158,10 +130,6 @@ def _cmd_list(args: argparse.Namespace) -> int:
     if show_experiments:
         print("experiments (claim registry):")
         harness.list_experiments()
-    if show_engines:
-        if show_workloads or show_experiments:
-            print()
-        _print_engines()
     return 0
 
 
@@ -544,13 +512,11 @@ def build_parser() -> argparse.ArgumentParser:
                               help="add the OPT/Belady reference "
                                    "column (two-pass)")
     sweep_parser.add_argument("--engine", default="auto",
-                              choices=("auto", "single-pass", "numpy",
-                                       "grid"),
-                              help="force the execution engine "
-                                   "('numpy' requires the optional "
-                                   "numpy extra; 'auto' uses it when "
-                                   "importable and falls back to the "
-                                   "pure-python single-pass engine)")
+                              choices=("auto", "grid"),
+                              help="execution engine: 'auto' uses the "
+                                   "stack-distance engine when the "
+                                   "spec is eligible, 'grid' forces "
+                                   "one simulation per configuration")
     sweep_parser.add_argument("--plot", action="store_true",
                               help="also render the ASCII figure")
     sweep_parser.add_argument("--quick", action="store_true",
@@ -565,17 +531,11 @@ def build_parser() -> argparse.ArgumentParser:
     sweep_parser.set_defaults(func=_cmd_sweep)
 
     list_parser = commands.add_parser(
-        "list", help="list registered workloads, experiments and "
-                     "sweep engine backends")
+        "list", help="list registered workloads and experiments")
     list_parser.add_argument("--workloads", action="store_true",
                              help="only the workload registry")
     list_parser.add_argument("--experiments", action="store_true",
                              help="only the experiment registry")
-    list_parser.add_argument("--engines", action="store_true",
-                             help="only the sweep execution backends "
-                                  "(reports whether numpy was "
-                                  "importable, so logs show which "
-                                  "path actually ran)")
     list_parser.add_argument("--versions", action="store_true",
                              help="only the package / trace-format / "
                                   "semantics / engine versions "

@@ -610,9 +610,7 @@ def _run_all_inner(specs, journal, done, stats, started, note, *,
         status = ("FAILED  " if failed
                   else "ok " if result.all_hold else "DIVERGES")
         note(f"  [{status}] {result.experiment}")
-    env = telemetry.environment_block()
-    numpy_note = (f"numpy {env['numpy']}" if env["numpy"]
-                  else "numpy absent")
+    numpy_note = f"numpy {telemetry.environment_block()['numpy']}"
     note(f"\n{held}/{total} paper claims reproduced "
          f"(jobs={jobs}, {time.time() - started:.1f}s wall).")
     note(f"robustness: {stats['retries']} retries, "

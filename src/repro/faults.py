@@ -346,9 +346,10 @@ def inject(site: str, key: str = "", payload: Optional[bytes] = None):
     # The fired log goes to telemetry BEFORE the fault acts: a
     # ``crash`` kind ``os._exit``s immediately, so the event (flushed
     # per record) and the flushed counters are all that survive it.
+    # The event is the only record of the firing -- reports count
+    # faults from it, so no counter can disagree with the log.
     telemetry.event("fault.fired", site=site, kind=spec.kind, key=key,
                     epoch=active.epoch)
-    telemetry.inc("faults.fired", site=site, kind=spec.kind)
     telemetry.flush()
     label = f"injected {spec.kind} at {site}" + (f" [{key}]" if key else "")
     if spec.kind == "io-error":

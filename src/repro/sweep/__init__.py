@@ -5,13 +5,11 @@ the whole hit-ratio surface -- as a subsystem:
 
 * :mod:`repro.sweep.spec` -- :class:`SweepSpec` / :class:`HierarchySpec`,
   declarative descriptions of what to sweep;
-* :mod:`repro.sweep.engine` -- the Mattson-style stack-distance
-  engine: every LRU (size, associativity) point from one trace
-  replay, plus the OPT/Belady reference stack;
-* :mod:`repro.sweep.np_engine` -- the vectorized numpy twin of the
-  stack-distance engine (optional extra, bitwise-identical, an order
-  of magnitude faster on the paper trace);
-* :mod:`repro.sweep.runner` -- engine selection (single-pass when
+* :mod:`repro.sweep.np_engine` -- the Mattson-style stack-distance
+  engine (numpy-vectorized): every LRU (size, associativity) point
+  from one trace replay;
+* :mod:`repro.sweep.engine` -- the OPT/Belady reference stack;
+* :mod:`repro.sweep.runner` -- engine selection (stack distance when
   eligible, per-configuration grid otherwise) and the warm-up window
   drivers, bitwise-equivalent to the ``simulate_*`` functions;
 * :mod:`repro.sweep.surface` -- :class:`ResultSurface`: grid queries,
@@ -34,8 +32,8 @@ or, for the paper's figure pair in one declared object::
                                  events)
 """
 
-from repro.sweep.engine import MultiConfigLRU, OptStack, next_use_times
-from repro.sweep.np_engine import NumpyMultiConfigLRU, numpy_available
+from repro.sweep.engine import OptStack
+from repro.sweep.np_engine import NumpyMultiConfigLRU
 from repro.sweep.planner import (
     BatchReport,
     BatchResult,
@@ -68,7 +66,6 @@ __all__ = [
     "BatchResult",
     "DEFAULT_SEMANTICS",
     "HierarchySpec",
-    "MultiConfigLRU",
     "NumpyMultiConfigLRU",
     "OptStack",
     "PAPER_ASSOCIATIVITIES",
@@ -79,8 +76,6 @@ __all__ = [
     "SurfaceCache",
     "SweepSpec",
     "default_surface_cache",
-    "next_use_times",
-    "numpy_available",
     "paper_hierarchy",
     "query_from_request",
     "result_cache_key",

@@ -1,15 +1,32 @@
-"""Vectorized numpy replay backend for the single-pass sweep engine.
+"""The LRU stack-distance engine: every swept configuration, one replay.
 
-:class:`NumpyMultiConfigLRU` is a drop-in, bitwise-identical
-replacement for :class:`repro.sweep.engine.MultiConfigLRU`: same
-constructor, same ``replay``/``replay_columns``/``touch`` update
-surface, same ``hits``/``full_hits``/``total``/``reset_counts``
-results surface -- but the per-reference LRU stack-depth loop is
-replaced by whole-array passes.  On the paper's measurement trace the
-replay runs an order of magnitude faster (see BENCH_throughput.json).
+The classic observation (Mattson et al. 1970, generalized to
+set-associative caches by Hill & Smith) is that LRU is a *stack
+algorithm*: at any moment the contents of an A-way LRU set are exactly
+the A most-recently-used blocks mapping to that set, for every A at
+once.  A reference therefore hits in an (S sets, A ways) cache iff
+fewer than A *distinct* conflicting blocks (same set under S) were
+touched since the previous reference to the same block.  Replaying the
+trace once while recording those per-set stack depths yields the hit
+count of every configuration simultaneously -- one trace pass instead
+of one per (size, associativity) point.
 
-The formulation (details in DESIGN.md, "The vectorized stack-distance
-backend"):
+:class:`NumpyMultiConfigLRU` keeps one *level* per swept power-of-two
+set count.  Depths only matter up to the deepest swept associativity
+(4 on the paper grid), so each level's depth is capped there and a
+reference beyond the cap is simply "missed at every swept way count".
+Set membership under S = 2^k sets is a pure function of the block's
+placement value (the stable hash for the ITLB's hashed directory, the
+block address for the icache's modulo indexing), so the same replay
+serves every level.  An optional unbounded-depth level (one set)
+yields the fully-associative reference curve and any one-set
+configurations.  Counts land in per-level depth histograms; ``hits``
+answers are their prefix sums, and ``reset_counts`` zeroes counters
+while keeping stack state, as the section-5 warm-up methodology's
+mid-trace ``reset_stats`` does to a live cache.
+
+The per-reference stack-depth loop is replaced by whole-array passes
+(details in DESIGN.md, "The stack-distance sweep engine"):
 
 * Factorize the ``(block, placement)`` columns once per replayed
   segment into dense block ids plus previous-occurrence links
@@ -21,19 +38,13 @@ backend"):
   (top-of-stack) and compulsory misses fall out of the
   previous-occurrence links directly, and depths 2..cap are resolved
   in *run space* -- maximal same-block stretches -- where the tiny
-  depth cap (4 on the paper grid) bounds the work per reference.
+  depth cap bounds the work per reference.
 * Stack state between segments is carried as one global MRU-ordered
   list of distinct ``(block, placement)`` pairs; replaying that list
   as a synthetic prefix regenerates every level's per-set stacks
   exactly, which is what makes warm-up cuts, mid-trace
-  ``reset_counts`` and ``start``/``stop`` sub-range replay match the
-  incremental engine bit for bit.
-
-numpy is an *optional* extra (``pip install .[numpy]``): this module
-always imports; only constructing the engine (or forcing
-``engine="numpy"``) requires the library.  The runner checks
-:func:`numpy_available` and falls back to the pure-python engine
-when the import is missing.
+  ``reset_counts`` and ``start``/``stop`` sub-range replay match an
+  incremental per-reference LRU bit for bit.
 """
 
 from __future__ import annotations
@@ -41,33 +52,13 @@ from __future__ import annotations
 from itertools import accumulate
 from typing import Dict, Hashable, List, Optional, Sequence, Tuple
 
-try:
-    import numpy as np
-except ImportError:  # exercised by the sys.modules block in the tests
-    np = None  # type: ignore[assignment]
+import numpy as np
 
 from repro import telemetry
-from repro.errors import BackendUnavailable
 
 #: Vector rounds of the chain resolver before it falls back to the
 #: path-compressed scalar walk (measured best on the paper trace).
 _CHAIN_VECTOR_ROUNDS = 6
-
-
-def numpy_available() -> bool:
-    """Whether the vectorized backend can actually run here."""
-    return np is not None
-
-
-def require_numpy() -> None:
-    """Raise the typed, actionable error if numpy is missing."""
-    if np is None:
-        raise BackendUnavailable(
-            "the numpy sweep backend was requested but numpy is not "
-            "importable; install the optional extra with "
-            "'pip install .[numpy]' (or 'pip install numpy'), or use "
-            "engine='auto' / engine='single-pass' for the pure-python "
-            "fallback")
 
 
 class _SegmentStructs:
@@ -260,21 +251,25 @@ def _depth4_chain(rank_i, r_start, cpr1, LF, nxr, nxr2, counts, cap):
 
 
 class NumpyMultiConfigLRU:
-    """Bitwise-identical numpy replacement for ``MultiConfigLRU``.
+    """All swept LRU configurations, updated by one block stream.
 
-    Stack state is carried between replays as a global MRU-ordered list
-    of distinct (block, placement) pairs; replaying that list as a
-    synthetic prefix regenerates every level's per-set recency stacks
-    exactly, so segmented replay (warm-up cuts, ``reset_counts``
-    mid-trace, sub-range replay) matches the incremental engine bit for
-    bit.  Blocks and placements must be integer columns and placements
-    must be a pure function of blocks (both hold for every reference
-    stream the runner builds).
+    Parameters
+    ----------
+    level_caps:
+        ``log2(num_sets) -> deepest associativity swept`` for every
+        multi-set level (``num_sets`` a power of two >= 2).
+    full_cap:
+        Depth bound of the single-set level (0 disables it).  Covers
+        the fully-associative curve (bound = largest capacity in
+        entries) and any num_sets == 1 configurations.
+
+    Blocks and placements must be integer columns and placements must
+    be a pure function of blocks (both hold for every reference stream
+    the runner builds).
     """
 
     def __init__(self, level_caps: Dict[int, int],
                  full_cap: int = 0) -> None:
-        require_numpy()
         self.ks = sorted(level_caps)
         for k in self.ks:
             if k <= 0 or level_caps[k] <= 0:
@@ -344,8 +339,8 @@ class NumpyMultiConfigLRU:
             # Purity guard across segments (the in-segment guard lives
             # in _SegmentStructs): a carried block re-seen here must
             # re-appear with its carried placement, or the carry-prefix
-            # reconstruction would silently diverge from the
-            # incremental engine.
+            # reconstruction would silently diverge from a
+            # per-reference LRU.
             seen = ~keep
             if not bool(np.all(seg.uniq_pvals[loc_c[seen]]
                                == self._carry_p[seen])):
@@ -609,9 +604,9 @@ class NumpyMultiConfigLRU:
     def stack_state(self):
         """Current per-set recency stacks, reconstructed from the carry.
 
-        Same shape as ``MultiConfigLRU.stack_state()``: per level, a
-        mapping of set index to the MRU-first block list; plus the
-        single-set stack when enabled.  The carry is the global
+        Per level, a mapping of set index to the MRU-first block list;
+        plus the single-set stack when enabled.  A copy, safe to
+        mutate.  The carry is the global
         MRU-ordered distinct-block list, so each set's stack is its
         per-set filtration truncated at the level's depth cap.
         """
@@ -632,13 +627,13 @@ class NumpyMultiConfigLRU:
 
 
 def np_next_use_times(blocks: Sequence) -> List[float]:
-    """Vectorized :func:`repro.sweep.engine.next_use_times`.
+    """``result[i]`` = index of the next reference to ``blocks[i]``.
 
-    Same contract: ``result[i]`` is the index of the next reference to
-    ``blocks[i]``, ``inf`` (== ``NEVER``) when there is none.  Computed
-    from the block-sorted order instead of a backward python scan.
+    The next-use column :class:`~repro.sweep.engine.OptStack` needs
+    before its stack pass; positions with no later reference get
+    ``inf`` (== :data:`~repro.sweep.engine.NEVER`).  Computed from the
+    block-sorted order instead of a backward python scan.
     """
-    require_numpy()
     b = np.asarray(blocks, dtype=np.int64)
     n = len(b)
     result = np.full(n, np.inf)

@@ -1,6 +1,6 @@
 """Batched sweep query planning: N queries, one trace pass per group.
 
-The single-pass engine already computes a *whole* hit-ratio surface
+The stack-distance engine already computes a *whole* hit-ratio surface
 from one replay, so N queries against the same trace should cost one
 pass, not N.  This module is the layer that makes that true for
 callers who arrive with *queries* (a curve here, an iso-ratio
@@ -36,7 +36,7 @@ carefully crafted superset spec:
     keeps batch-planned figures byte-identical to per-query runs.
 
     Groups that cannot merge -- the union geometry fails spec
-    validation, the spec is not single-pass eligible, or the caller
+    validation, the spec is not stack-distance eligible, or the caller
     forced the ``grid`` engine -- fall back to individual
     :func:`~repro.sweep.runner.run_sweep` calls, counted in the
     :class:`BatchReport` so the fallback is visible, never silent.
@@ -66,7 +66,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro import telemetry
 from repro.sweep.runner import _result_cache, result_cache_key, run_sweep
-from repro.sweep.spec import CACHE_KINDS, ENGINES, SweepSpec
+from repro.sweep.spec import CACHE_KINDS, SweepSpec
 from repro.sweep.surface import ResultSurface
 from repro.trace.columnar import as_trace
 from repro.trace.semantics import SEMANTICS
@@ -212,14 +212,11 @@ def query_from_request(document: dict) -> Query:
                             ("label", "label")):
         if key in document:
             spec_kw[spec_field] = document[key]
-    if spec_kw.get("engine", "auto") not in ENGINES:
-        raise ValueError(f"unknown engine {spec_kw['engine']!r}; "
-                         f"expected one of {ENGINES}")
     if spec_kw.get("semantics", "paper") not in SEMANTICS:
         raise ValueError(f"unknown semantics "
                          f"{spec_kw['semantics']!r}; expected one of "
                          f"{SEMANTICS}")
-    spec = SweepSpec(**spec_kw)  # ValueError on bad geometry
+    spec = SweepSpec(**spec_kw)  # ValueError on bad geometry or engine
     return Query(spec=spec, kind=kind, associativity=associativity,
                  size=size, target=document.get("target"))
 
@@ -386,9 +383,9 @@ def _group_key(spec: SweepSpec) -> Tuple:
 
     Geometry (sizes, associativities, the reference-curve flags) is
     deliberately absent -- that is what the superset unions away.
-    ``engine`` stays: it is part of the result-cache identity and of
-    ``meta``, so an ``auto`` query and a ``single-pass`` query never
-    share a surface even when their counts would agree.
+    ``engine`` stays: it is part of the result-cache identity, so an
+    ``auto`` query and a ``grid`` query never share a surface even
+    when their counts would agree.
     """
     return (spec.cache, spec.line_words, spec.policy,
             spec.warmup_fraction, spec.double_pass,

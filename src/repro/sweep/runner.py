@@ -2,21 +2,16 @@
 
 ``run_sweep`` picks the execution engine per spec:
 
-* **numpy** (:class:`~repro.sweep.np_engine.NumpyMultiConfigLRU`) --
-  the vectorized single-pass formulation.  ``engine="auto"`` uses it
-  whenever the spec is single-pass eligible *and* numpy is importable
-  (numpy is an optional extra, never a hard dependency);
-  ``engine="numpy"`` requires it, raising the typed
-  :class:`~repro.errors.BackendUnavailable` when the import is
-  missing.  Bitwise-identical to the pure-python engine.
-* **single-pass** (:class:`~repro.sweep.engine.MultiConfigLRU`) when
-  the spec is LRU with power-of-two set counts -- one simulation
+* **stack distance** (:class:`~repro.sweep.np_engine.NumpyMultiConfigLRU`,
+  reported as ``meta["engine"] == "numpy"``) when the spec is LRU with
+  power-of-two set counts and ``engine="auto"`` -- one simulation
   replay of the trace (two under the paper's double-pass warm-up)
   produces every grid cell at once;
-* **grid** otherwise (or on request) -- one
+* **grid** otherwise (or with ``engine="grid"``) -- one
   :func:`~repro.trace.cachesim.simulate_itlb` /
   :func:`~repro.trace.cachesim.simulate_icache` call per cell, which
-  supports any replacement policy and geometry.
+  supports any replacement policy and geometry.  It is also the
+  oracle the stack-distance engine is pinned against.
 
 Both paths produce *bitwise identical* hit ratios for LRU specs:
 driver and ``simulate_*`` functions alike place the warm-up window
@@ -24,6 +19,8 @@ with :func:`repro.trace.semantics.reset_index`, the single audited
 home of the versioned measurement semantics (``"paper"`` preserves
 the historical quirk family bit-for-bit; ``"v2"`` fixes it).  The
 equivalence is pinned by tests/test_sweep.py under both versions.
+The OPT reference curve has no per-configuration simulator, so both
+paths compute it the same way (:func:`_opt_counts`).
 
 ``meta["trace_passes"]`` counts *simulation replays* of the event
 stream -- the number of times a cache model observed every reference.
@@ -34,8 +31,8 @@ as ``meta["aux_passes"]``.
 Reference streams are *columns*, not event objects: the drivers read
 the packed int columns of a :class:`~repro.trace.columnar.Trace`
 directly (the icache stream for one-word lines is literally the
-trace's address column, zero-copy) and feed the engines through
-:meth:`~repro.sweep.engine.MultiConfigLRU.replay_columns`.
+trace's address column, zero-copy) and feed the engine through
+:meth:`~repro.sweep.np_engine.NumpyMultiConfigLRU.replay_columns`.
 """
 
 from __future__ import annotations
@@ -50,7 +47,7 @@ from typing import Dict, Optional, Sequence, Tuple
 from repro import telemetry
 from repro.caches.setassoc import stable_hash
 from repro.sweep import np_engine
-from repro.sweep.engine import MultiConfigLRU, OptStack, next_use_times
+from repro.sweep.engine import OptStack
 from repro.sweep.spec import HierarchySpec, SweepSpec
 from repro.sweep.surface import Cell, ResultSurface
 from repro.trace.cachesim import simulate_icache, simulate_itlb
@@ -147,11 +144,18 @@ def _icache_ref_columns(trace: Trace, line_words: int) -> RefColumns:
     return blocks, blocks
 
 
+def _ref_columns(spec: SweepSpec, trace: Trace) -> RefColumns:
+    """The reference stream *spec*'s cache kind observes."""
+    if spec.cache == "itlb":
+        return _itlb_ref_columns(trace, spec.dispatched_only)
+    return _icache_ref_columns(trace, spec.line_words)
+
+
 def _reset_touch(spec: SweepSpec, events: Sequence,
                  n_refs: int) -> Optional[int]:
     """Where in the *reference* stream the warm-up stats reset lands.
 
-    Delegates to the versioned semantics module so the single-pass
+    Delegates to the versioned semantics module so the stack-distance
     driver and the ``simulate_*`` loops agree reference-for-reference
     under either semantics version.
     """
@@ -160,7 +164,46 @@ def _reset_touch(spec: SweepSpec, events: Sequence,
                        dispatched_only=spec.dispatched_only)
 
 
-# -- the single-pass path --------------------------------------------------
+def _opt_counts(spec: SweepSpec, blocks: Sequence,
+                reset_at: Optional[int]) -> Dict[int, Cell]:
+    """``size -> (hits, misses)`` of the OPT/Belady reference curve.
+
+    One :class:`~repro.sweep.engine.OptStack` replay of *blocks* (two
+    under double pass, the first uncounted), after one next-use scan.
+    ``reset_at`` is the single-pass warm-up cut (``None``: measure
+    everything); double-pass specs ignore it.
+    """
+    n_refs = len(blocks)
+    opt = OptStack(max(spec.entries(s) for s in spec.sizes))
+    if spec.double_pass:
+        doubled = list(blocks)
+        doubled += doubled
+        next_use = np_engine.np_next_use_times(doubled)
+        for i in range(n_refs):
+            opt.touch(blocks[i], next_use[i], count=False)
+        for i in range(n_refs):
+            opt.touch(blocks[i], next_use[n_refs + i], count=True)
+    else:
+        next_use = np_engine.np_next_use_times(blocks)
+        for index in range(n_refs):
+            opt.touch(blocks[index], next_use[index],
+                      count=(reset_at is None or index >= reset_at))
+    counts = {}
+    for size in spec.sizes:
+        hits = opt.hits(spec.entries(size))
+        counts[size] = (hits, opt.total - hits)
+    return counts
+
+
+def _columns(spec: SweepSpec) -> list:
+    """The surface's associativity columns, reference column last."""
+    columns = list(spec.associativities)
+    if spec.include_full and "full" not in columns:
+        columns.append("full")
+    return columns
+
+
+# -- the stack-distance path -----------------------------------------------
 
 def _geometry(spec: SweepSpec) -> Tuple[Dict[int, int], int]:
     """(level caps keyed by log2(num_sets), single-set depth bound)."""
@@ -178,39 +221,16 @@ def _geometry(spec: SweepSpec) -> Tuple[Dict[int, int], int]:
     return level_caps, full_cap
 
 
-def _run_single_pass(spec: SweepSpec, events: Sequence,
-                     use_numpy: bool = False) -> ResultSurface:
+def _run_single_pass(spec: SweepSpec, events: Sequence) -> ResultSurface:
     trace = as_trace(events)
-    blocks, placements = (_itlb_ref_columns(trace, spec.dispatched_only)
-                          if spec.cache == "itlb"
-                          else _icache_ref_columns(trace, spec.line_words))
+    blocks, placements = _ref_columns(spec, trace)
     n_refs = len(blocks)
-    level_caps, full_cap = _geometry(spec)
-    if use_numpy:
-        engine = np_engine.NumpyMultiConfigLRU(level_caps, full_cap)
-        next_use_fn = np_engine.np_next_use_times
-    else:
-        engine = MultiConfigLRU(level_caps, full_cap)
-        next_use_fn = next_use_times
-    opt = OptStack(max(spec.entries(s) for s in spec.sizes)) \
-        if spec.include_opt else None
-
-    passes = 0
-    aux = 1  # the reference-stream build
+    engine = np_engine.NumpyMultiConfigLRU(*_geometry(spec))
+    per_replay = 2 if spec.double_pass else 1
+    reset_at = None
     if spec.double_pass:
         engine.replay_columns(blocks, placements, count=False)
         engine.replay_columns(blocks, placements, count=True)
-        passes += 2
-        if opt is not None:
-            doubled = list(blocks)
-            doubled += doubled
-            next_use = next_use_fn(doubled)
-            for i in range(n_refs):
-                opt.touch(blocks[i], next_use[i], count=False)
-            for i in range(n_refs):
-                opt.touch(blocks[i], next_use[n_refs + i], count=True)
-            passes += 2
-            aux += 1
     else:
         reset_at = _reset_touch(spec, trace, n_refs)
         # Counting-then-resetting is the same as not counting (state
@@ -223,21 +243,10 @@ def _run_single_pass(spec: SweepSpec, events: Sequence,
                                   stop=reset_at, count=False)
             engine.replay_columns(blocks, placements,
                                   start=reset_at, count=True)
-        passes += 1
-        if opt is not None:
-            next_use = next_use_fn(blocks)
-            aux += 1
-            for index in range(n_refs):
-                opt.touch(blocks[index], next_use[index],
-                          count=(reset_at is None or index >= reset_at))
-            passes += 1
 
     total = engine.total
     counts: Dict[object, Dict[int, Cell]] = {}
-    columns = list(spec.associativities)
-    if spec.include_full and "full" not in columns:
-        columns.append("full")
-    for assoc in columns:
+    for assoc in _columns(spec):
         row: Dict[int, Cell] = {}
         for size in spec.sizes:
             if assoc == "full":
@@ -252,12 +261,14 @@ def _run_single_pass(spec: SweepSpec, events: Sequence,
         counts[assoc] = row
 
     opt_counts = None
-    if opt is not None:
-        opt_counts = {size: (opt.hits(spec.entries(size)),
-                             opt.total - opt.hits(spec.entries(size)))
-                      for size in spec.sizes}
+    passes = per_replay
+    aux = 1  # the reference-stream build
+    if spec.include_opt:
+        opt_counts = _opt_counts(spec, blocks, reset_at)
+        passes += per_replay
+        aux += 1
     return ResultSurface(spec, counts, opt_counts, {
-        "engine": "numpy" if use_numpy else "single-pass",
+        "engine": "numpy",
         "semantics": spec.semantics,
         "trace_passes": passes,
         "aux_passes": aux,
@@ -290,34 +301,23 @@ def _run_grid(spec: SweepSpec,
     per_sim = 2 if spec.double_pass else 1
     passes = 0
     counts: Dict[object, Dict[int, Cell]] = {}
-    columns = list(spec.associativities)
-    if spec.include_full and "full" not in columns:
-        columns.append("full")
-    for assoc in columns:
+    for assoc in _columns(spec):
         row: Dict[int, Cell] = {}
         for size in spec.sizes:
             row[size] = _simulate_cell(spec, events, size, assoc)
             passes += per_sim
         counts[assoc] = row
 
-    # OPT has no per-configuration simulator: the stack engine is the
-    # only implementation, so the reference curve is computed the
-    # single-pass way even under the grid engine.
     opt_counts = None
     aux = 0
     if spec.include_opt:
-        opt_spec = SweepSpec(
-            cache=spec.cache, sizes=spec.sizes, associativities=(1,),
-            line_words=spec.line_words,
-            warmup_fraction=spec.warmup_fraction,
-            double_pass=spec.double_pass,
-            dispatched_only=spec.dispatched_only,
-            include_opt=True, engine="single-pass",
-            semantics=spec.semantics)
-        opt_surface = _run_single_pass(opt_spec, events)
-        opt_counts = opt_surface.opt_counts
-        passes += 2 if spec.double_pass else 1
-        aux = opt_surface.meta["aux_passes"]
+        trace = as_trace(events)
+        blocks, _ = _ref_columns(spec, trace)
+        reset_at = (None if spec.double_pass
+                    else _reset_touch(spec, trace, len(blocks)))
+        opt_counts = _opt_counts(spec, blocks, reset_at)
+        passes += per_sim
+        aux = 2  # the reference-stream build and the next-use scan
     return ResultSurface(spec, counts, opt_counts, {
         "engine": "grid",
         "semantics": spec.semantics,
@@ -390,28 +390,8 @@ def run_sweep(spec: SweepSpec,
 
 def _dispatch(spec: SweepSpec, events: Sequence) -> ResultSurface:
     """Engine selection (see :func:`run_sweep`)."""
-    if spec.engine == "grid":
-        return _run_grid(spec, events)
-    eligible = spec.single_pass_eligible()
-    if spec.engine == "numpy":
-        np_engine.require_numpy()
-        if not eligible:
-            raise ValueError(
-                f"spec is not single-pass eligible, so the numpy "
-                f"backend cannot run it (policy={spec.policy!r}; set "
-                f"counts must be powers of two): {spec}")
-        return _run_single_pass(spec, events, use_numpy=True)
-    if spec.engine == "single-pass" and not eligible:
-        raise ValueError(
-            f"spec is not single-pass eligible (policy={spec.policy!r}; "
-            f"set counts must be powers of two): {spec}")
-    if eligible:
-        # "auto": the vectorized backend when the optional numpy extra
-        # is importable, the pure-python engine otherwise -- both are
-        # bitwise-identical, so the fallback is silent by design.
-        use_numpy = (spec.engine == "auto"
-                     and np_engine.numpy_available())
-        return _run_single_pass(spec, events, use_numpy=use_numpy)
+    if spec.engine == "auto" and spec.single_pass_eligible():
+        return _run_single_pass(spec, events)
     return _run_grid(spec, events)
 
 

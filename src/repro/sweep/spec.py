@@ -9,7 +9,7 @@ one ITLB sweep plus one icache sweep over the same trace) so a whole
 figure set is a single declared object.
 
 Specs carry no events and run nothing themselves; the runner
-(:mod:`repro.sweep.runner`) decides per spec whether the single-pass
+(:mod:`repro.sweep.runner`) decides per spec whether the
 stack-distance engine applies (LRU with power-of-two set counts) or
 whether to fall back to the per-configuration grid simulation.
 """
@@ -33,7 +33,7 @@ from repro.trace.semantics import (
 
 CACHE_KINDS = ("itlb", "icache")
 
-ENGINES = ("auto", "single-pass", "numpy", "grid")
+ENGINES = ("auto", "grid")
 
 #: Default display labels, matching the labels the figure tables have
 #: always used (pinned by the figure-output parity tests).
@@ -50,16 +50,13 @@ class SweepSpec:
     ``(size, assoc)`` pair must describe a cache the set-associative
     model could build (the same divisibility rules
     :class:`~repro.caches.setassoc.SetAssociativeCache` enforces).
-    ``engine`` selects execution: ``"auto"`` uses the single-pass
-    stack-distance engine whenever the spec is eligible (LRU,
-    power-of-two set counts) -- vectorized by the optional numpy
-    backend when numpy is importable, pure python otherwise;
-    ``"single-pass"`` requires the pure-python engine (raising if
-    ineligible), ``"numpy"`` requires the vectorized backend (raising
-    :class:`~repro.errors.BackendUnavailable` when numpy is absent),
-    ``"grid"`` forces one simulation per configuration.  ``semantics`` selects the measurement-semantics
-    version (:mod:`repro.trace.semantics`): ``"paper"`` keeps the
-    historical warm-up quirks bit-for-bit, ``"v2"`` fixes them.
+    ``engine`` selects execution: ``"auto"`` uses the stack-distance
+    engine whenever the spec is eligible (LRU, power-of-two set
+    counts) and the per-configuration grid otherwise; ``"grid"``
+    forces one simulation per configuration.  ``semantics`` selects
+    the measurement-semantics version (:mod:`repro.trace.semantics`):
+    ``"paper"`` keeps the historical warm-up quirks bit-for-bit,
+    ``"v2"`` fixes them.
     """
 
     cache: str

@@ -525,17 +525,13 @@ def finalize() -> Optional[dict]:
 
 def environment_block() -> dict:
     """The host/interpreter identity block, including the numpy
-    version (or None) so engine-dependent numbers are attributable."""
-    try:
-        import numpy
-        numpy_version = getattr(numpy, "__version__", "unknown")
-    except Exception:
-        numpy_version = None
+    version so engine-dependent numbers are attributable."""
+    import numpy
     return {
         "cpus": os.cpu_count(),
         "implementation": platform.python_implementation(),
         "machine": platform.machine(),
-        "numpy": numpy_version,
+        "numpy": numpy.__version__,
         "python": platform.python_version(),
         "system": platform.system(),
     }

@@ -293,6 +293,15 @@ def build_report(data: dict, top: int = 10) -> dict:
         "queries_per_replay": (round(qpr_sum / qpr_count, 4)
                                if qpr_count else None),
     }
+    # Fault counts come from the fault.fired event log alone: the
+    # event is flushed before the fault acts, so it survives a crash
+    # a separately flushed counter could miss.
+    fired = [e.get("attrs") or {} for e in data["events"]
+             if e.get("name") == "fault.fired"]
+    faults_by_site: Dict[str, int] = {}
+    for attrs in fired:
+        label = f"kind={attrs.get('kind')},site={attrs.get('site')}"
+        faults_by_site[label] = faults_by_site.get(label, 0) + 1
     robustness = {
         "retries": counter_total(metrics, "harness.retries"),
         "timeouts": counter_total(metrics, "harness.timeouts"),
@@ -300,10 +309,8 @@ def build_report(data: dict, top: int = 10) -> dict:
         "task_failures": counter_total(metrics, "harness.task_failures"),
         "degraded": counter_total(metrics, "harness.degraded"),
         "resumed": counter_total(metrics, "harness.resumed"),
-        "faults_fired": counter_total(metrics, "faults.fired"),
-        "faults_by_site": counter_by_labels(metrics, "faults.fired"),
-        "fault_events": len([e for e in data["events"]
-                             if e.get("name") == "fault.fired"]),
+        "faults_fired": len(fired),
+        "faults_by_site": faults_by_site,
     }
     task_spans = len([s for s in spans if s.get("name") == "harness.task"])
     return {

@@ -1,32 +1,25 @@
-"""Equivalence and fallback tests for the vectorized numpy backend.
+"""Tests for the LRU stack-distance engine (repro.sweep.np_engine).
 
-The load-bearing guarantee mirrors test_sweep.py's: the numpy replay
-backend must be *bitwise-equal* to the pure-python stack-distance
-engine -- histograms, ``total``, hit prefix sums AND post-replay stack
-state -- across random column pairs (varying alphabet sizes, set
-counts, depth caps, warm-up fractions, count=False segments, resets,
-sub-ranges) and across the full paper grid under both
-measurement-semantics versions.  CI runs the pins by name
-(``-k "equivalence and paper"`` / ``-k "equivalence and v2"``) on the
-numpy matrix leg; the numpy-free leg keeps the fallback honest (the
-numpy-requiring tests skip themselves, the ``sys.modules``-block
-tests run everywhere).
+The load-bearing guarantee: :class:`NumpyMultiConfigLRU` reports, for
+every swept configuration, exactly the hits a plain per-configuration
+LRU cache would -- checked against a brute-force oracle local to this
+file (one ordered set per (level, associativity), no stack distances
+anywhere) across random column pairs (varying alphabet sizes, set
+counts, depth caps, count=False segments, resets, sub-ranges), plus
+post-replay stack state.  ``run_sweep`` on the engine is pinned
+against the per-configuration grid over the full paper grid under both
+measurement-semantics versions; CI runs those pins by name
+(``-k "equivalence and paper"`` / ``-k "equivalence and v2"``).
 """
 
-import importlib
 import random
-import sys
+from collections import OrderedDict
 
 import pytest
 
-from repro.errors import BackendUnavailable
 from repro.sweep import SweepSpec, np_engine, run_sweep
-from repro.sweep.engine import MultiConfigLRU, OptStack, next_use_times
+from repro.sweep.engine import OptStack
 from repro.trace.events import TraceEvent
-
-requires_numpy = pytest.mark.skipif(
-    not np_engine.numpy_available(),
-    reason="numpy is not installed (pure-python fallback leg)")
 
 
 def _mixed_trace(n=2500, seed=7):
@@ -47,6 +40,62 @@ def _mixed_trace(n=2500, seed=7):
 @pytest.fixture(scope="module")
 def events():
     return _mixed_trace()
+
+
+class _BruteLRU:
+    """Every swept configuration as its own LRU cache.
+
+    One ordered set (least recent first) per set of every
+    (2^k sets, assoc ways) configuration with ``assoc`` up to the
+    level's cap, and one per single-set capacity up to ``full_cap``.
+    """
+
+    def __init__(self, level_caps, full_cap):
+        self.level_caps = dict(level_caps)
+        self.full_cap = full_cap
+        self.caches = {(k, assoc): {}
+                       for k, cap in self.level_caps.items()
+                       for assoc in range(1, cap + 1)}
+        self.full = {entries: OrderedDict()
+                     for entries in range(1, full_cap + 1)}
+        self.reset_counts()
+
+    def reset_counts(self):
+        self.hit_counts = dict.fromkeys(self.caches, 0)
+        self.full_hit_counts = dict.fromkeys(self.full, 0)
+        self.total = 0
+
+    @staticmethod
+    def _reference(lines, block, ways):
+        hit = block in lines
+        if hit:
+            lines.move_to_end(block)
+        else:
+            if len(lines) >= ways:
+                lines.popitem(last=False)
+            lines[block] = True
+        return hit
+
+    def touch(self, block, placement, count=True):
+        for (k, assoc), sets in self.caches.items():
+            lines = sets.setdefault(placement & ((1 << k) - 1),
+                                    OrderedDict())
+            if self._reference(lines, block, assoc) and count:
+                self.hit_counts[(k, assoc)] += 1
+        for entries, lines in self.full.items():
+            if self._reference(lines, block, entries) and count:
+                self.full_hit_counts[entries] += 1
+        if count:
+            self.total += 1
+
+    def stack_state(self):
+        """Per level: each set's MRU-first contents at the level cap."""
+        levels = {k: {bucket: list(reversed(lines))
+                      for bucket, lines in self.caches[(k, cap)].items()}
+                  for k, cap in self.level_caps.items()}
+        full = (list(reversed(self.full[self.full_cap]))
+                if self.full_cap else None)
+        return {"levels": levels, "full": full}
 
 
 def _random_case(seed):
@@ -76,40 +125,37 @@ def _random_case(seed):
     return blocks, placements, level_caps, full_cap, plan
 
 
-def _run_plan(engine, blocks, placements, plan):
+def _run_plan(engine, oracle, blocks, placements, plan):
     for step in plan:
         if step == "reset":
             engine.reset_counts()
+            oracle.reset_counts()
         else:
             start, stop, count = step
             engine.replay_columns(blocks, placements, start, stop, count)
+            for index in range(start, stop):
+                oracle.touch(blocks[index], placements[index], count)
 
 
-def _assert_engines_equal(pure, fast, level_caps, full_cap):
-    assert fast.histograms() == pure.histograms()
-    assert fast.total == pure.total
-    assert fast.stack_state() == pure.stack_state()
-    for k, cap in level_caps.items():
-        for assoc in range(1, cap + 1):
-            assert fast.hits(k, assoc) == pure.hits(k, assoc)
-    if full_cap:
-        assert fast._full_hist == pure._full_hist
-        for entries in range(1, full_cap + 1):
-            assert fast.full_hits(entries) == pure.full_hits(entries)
+def _assert_matches_oracle(engine, oracle):
+    assert engine.total == oracle.total
+    for (k, assoc), hits in oracle.hit_counts.items():
+        assert engine.hits(k, assoc) == hits, (k, assoc)
+    for entries, hits in oracle.full_hit_counts.items():
+        assert engine.full_hits(entries) == hits, entries
+    assert engine.stack_state() == oracle.stack_state()
 
 
-@requires_numpy
 class TestRandomizedEquivalence:
-    """Seeded random column pairs pinned numpy == python bitwise."""
+    """Seeded random column pairs pinned to the brute-force oracle."""
 
     @pytest.mark.parametrize("seed", range(30))
     def test_random_plan_equivalence(self, seed):
         blocks, placements, level_caps, full_cap, plan = _random_case(seed)
-        pure = MultiConfigLRU(dict(level_caps), full_cap)
-        fast = np_engine.NumpyMultiConfigLRU(dict(level_caps), full_cap)
-        _run_plan(pure, blocks, placements, plan)
-        _run_plan(fast, blocks, placements, plan)
-        _assert_engines_equal(pure, fast, level_caps, full_cap)
+        engine = np_engine.NumpyMultiConfigLRU(dict(level_caps), full_cap)
+        oracle = _BruteLRU(level_caps, full_cap)
+        _run_plan(engine, oracle, blocks, placements, plan)
+        _assert_matches_oracle(engine, oracle)
 
     def test_cycle_pattern_equivalence(self):
         # 3/4-symbol cycles are the chain resolver's worst case: every
@@ -123,42 +169,46 @@ class TestRandomizedEquivalence:
         pmap = {block: rng.getrandbits(16) for block in range(7)}
         placements = [pmap[block] for block in blocks]
         level_caps = {1: 4, 2: 5}
-        pure = MultiConfigLRU(dict(level_caps))
-        fast = np_engine.NumpyMultiConfigLRU(dict(level_caps))
-        pure.replay_columns(blocks, placements)
-        fast.replay_columns(blocks, placements)
-        _assert_engines_equal(pure, fast, level_caps, 0)
+        engine = np_engine.NumpyMultiConfigLRU(dict(level_caps))
+        oracle = _BruteLRU(level_caps, 0)
+        _run_plan(engine, oracle, blocks, placements,
+                  [(0, len(blocks), True)])
+        _assert_matches_oracle(engine, oracle)
 
     def test_touch_equivalence(self):
         # One-reference segments through the carry machinery, against
-        # both the pure touch and the pure bulk replay.
+        # the oracle and against one bulk replay of the same stream.
         rng = random.Random(44)
         pmap = {block: rng.getrandbits(16) for block in range(30)}
         refs = [(block, pmap[block])
                 for block in (rng.randrange(30) for _ in range(400))]
-        bulk = MultiConfigLRU({1: 2, 3: 4}, full_cap=8)
-        pure = MultiConfigLRU({1: 2, 3: 4}, full_cap=8)
-        fast = np_engine.NumpyMultiConfigLRU({1: 2, 3: 4}, full_cap=8)
+        bulk = np_engine.NumpyMultiConfigLRU({1: 2, 3: 4}, full_cap=8)
+        engine = np_engine.NumpyMultiConfigLRU({1: 2, 3: 4}, full_cap=8)
+        oracle = _BruteLRU({1: 2, 3: 4}, 8)
         bulk.replay(refs)
         for i, (block, placement) in enumerate(refs):
             count = i % 5 != 0
-            pure.touch(block, placement, count=count)
-            fast.touch(block, placement, count=count)
-        _assert_engines_equal(pure, fast, {1: 2, 3: 4}, 8)
-        assert bulk.stack_state() == pure.stack_state()
+            engine.touch(block, placement, count=count)
+            oracle.touch(block, placement, count=count)
+        _assert_matches_oracle(engine, oracle)
+        assert bulk.stack_state() == engine.stack_state()
 
     def test_next_use_times_equivalence(self):
         rng = random.Random(5)
         blocks = [rng.randrange(40) for _ in range(500)]
-        assert np_engine.np_next_use_times(blocks) == \
-            [float(t) for t in next_use_times(blocks)]
+        brute = []
+        for i, block in enumerate(blocks):
+            later = [j for j in range(i + 1, len(blocks))
+                     if blocks[j] == block]
+            brute.append(float(later[0]) if later else float("inf"))
+        assert np_engine.np_next_use_times(blocks) == brute
         assert np_engine.np_next_use_times([]) == []
 
 
-@requires_numpy
 class TestSweepEquivalence:
-    """run_sweep(engine="numpy") == run_sweep(engine="single-pass"),
-    full paper grid, every warm-up window, both semantics."""
+    """run_sweep(engine="auto") == run_sweep(engine="grid"), full
+    paper grid plus both reference columns, every warm-up window,
+    both semantics."""
 
     WINDOWS = [
         {"double_pass": True},
@@ -175,27 +225,30 @@ class TestSweepEquivalence:
                                            semantics, events):
         common = dict(cache=cache, include_full=True, include_opt=True,
                       semantics=semantics, **window)
-        pure = run_sweep(SweepSpec(engine="single-pass", **common),
-                         events)
-        fast = run_sweep(SweepSpec(engine="numpy", **common), events)
-        assert fast.counts == pure.counts
-        assert fast.opt_counts == pure.opt_counts
+        fast = run_sweep(SweepSpec(engine="auto", **common), events)
+        grid = run_sweep(SweepSpec(engine="grid", **common), events)
+        assert fast.counts == grid.counts
+        assert fast.opt_counts == grid.opt_counts
         assert fast.meta["engine"] == "numpy"
-        assert pure.meta["engine"] == "single-pass"
-        assert fast.meta["trace_passes"] == pure.meta["trace_passes"]
-        assert fast.meta["measured"] == pure.meta["measured"]
+        assert grid.meta["engine"] == "grid"
+        per_replay = 2 if window.get("double_pass") else 1
+        assert fast.meta["trace_passes"] == 2 * per_replay  # LRU + OPT
 
     def test_auto_uses_numpy_when_available(self, events):
         surface = run_sweep(SweepSpec("itlb", double_pass=True), events)
         assert surface.meta["engine"] == "numpy"
 
     def test_numpy_engine_requires_eligibility(self, events):
-        with pytest.raises(ValueError, match="eligible"):
-            run_sweep(SweepSpec("itlb", policy="fifo", engine="numpy"),
-                      events)
+        # Non-LRU policies and non-power-of-two set counts have no
+        # stack-distance formulation: "auto" routes them to the grid.
+        for spec in (SweepSpec("itlb", policy="fifo", sizes=(8, 16),
+                               associativities=(2,)),
+                     SweepSpec("itlb", sizes=(24,),
+                               associativities=(2,))):
+            assert not spec.single_pass_eligible()
+            assert run_sweep(spec, events).meta["engine"] == "grid"
 
 
-@requires_numpy
 class TestPlacementPurityGuard:
     """The carry-prefix reconstruction assumes placement is a function
     of block; violations must raise, never silently diverge."""
@@ -217,7 +270,7 @@ class TestHitPrefixCaching:
     counted updates and resets (the cached prefix sums invalidate)."""
 
     def test_multi_config_cache_invalidation(self):
-        engine = MultiConfigLRU({2: 3}, full_cap=4)
+        engine = np_engine.NumpyMultiConfigLRU({2: 3}, full_cap=4)
         stream = [(i % 7, i % 7) for i in range(60)]
         engine.replay(stream)
         assert engine.hits(2, 2) == sum(engine.histograms()[2][:2])
@@ -234,7 +287,7 @@ class TestHitPrefixCaching:
 
     def test_opt_stack_cache_invalidation(self):
         blocks = [i % 5 for i in range(40)]
-        next_use = next_use_times(blocks)
+        next_use = np_engine.np_next_use_times(blocks)
         opt = OptStack(4)
         for block, nxt in zip(blocks[:20], next_use[:20]):
             opt.touch(block, nxt)
@@ -244,46 +297,3 @@ class TestHitPrefixCaching:
         assert opt.hits(3) == sum(opt.hist[:3])
         opt.reset_counts()
         assert opt.hits(4) == 0
-
-
-class TestNumpyAbsent:
-    """engine="auto" must fall back cleanly and engine="numpy" must
-    raise the typed, actionable error when numpy cannot be imported.
-    These run on every CI leg: the block simulates absence even where
-    numpy is installed."""
-
-    @pytest.fixture
-    def no_numpy(self, monkeypatch):
-        monkeypatch.setitem(sys.modules, "numpy", None)
-        importlib.reload(np_engine)
-        assert not np_engine.numpy_available()
-        yield
-        monkeypatch.undo()
-        importlib.reload(np_engine)
-
-    def test_auto_falls_back_to_pure_python(self, no_numpy, events):
-        surface = run_sweep(
-            SweepSpec("itlb", sizes=(8, 64), associativities=(1, 2),
-                      double_pass=True), events)
-        assert surface.meta["engine"] == "single-pass"
-
-    def test_forced_numpy_raises_typed_actionable_error(self, no_numpy,
-                                                        events):
-        with pytest.raises(BackendUnavailable,
-                           match=r"pip install .*numpy"):
-            run_sweep(SweepSpec("itlb", engine="numpy"), events)
-
-    def test_engine_construction_raises_too(self, no_numpy):
-        with pytest.raises(BackendUnavailable):
-            np_engine.NumpyMultiConfigLRU({1: 2})
-
-    def test_reload_restores_availability(self):
-        # The fixture teardown reloaded the real module: whatever the
-        # environment has is reported again (and the sweep API still
-        # works on the pure path regardless).
-        try:
-            import numpy  # noqa: F401
-            importable = True
-        except ImportError:
-            importable = False
-        assert np_engine.numpy_available() == importable

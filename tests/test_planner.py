@@ -4,8 +4,7 @@ The load-bearing guarantee is *projection equivalence*: answers the
 planner projects out of one superset replay are bitwise-identical --
 counts, meta, iteration order -- to what an individual
 ``run_sweep`` of each query's own spec produces, for every paper-grid
-query, under both measurement semantics and both engines (numpy
-present and absent).  CI runs the equivalence tests by name
+query, under both measurement semantics.  CI runs the equivalence tests by name
 (``-k "equivalence and paper"`` / ``-k "equivalence and v2"``) as a
 dedicated gate.
 
@@ -36,7 +35,6 @@ from repro.sweep import (
     run_hierarchy_planned,
     run_sweep,
 )
-from repro.sweep import np_engine
 from repro.sweep import planner
 from repro.sweep.runner import _RESULT_CACHES
 from repro.trace.events import TraceEvent
@@ -107,7 +105,9 @@ def _assert_bitwise_equal(got, want):
 
 GRID = dict(sizes=PAPER_SIZES, associativities=(1, 2, 4, "full"))
 SEMANTICS = ("paper", "v2")
-ENGINE_MODES = ("pure", "auto-sans-numpy", "numpy")
+#: Engine modes the projection pin runs under: "numpy" is
+#: ``engine="auto"`` resolved to the stack-distance engine.
+ENGINE_MODES = ("numpy",)
 
 
 def _paper_grid_queries(cache, engine, semantics):
@@ -135,27 +135,15 @@ def _paper_grid_queries(cache, engine, semantics):
 
 class TestProjectionEquivalence:
     """Satellite: batch-planned answers bitwise-equal to individual
-    ``run_sweep`` runs, both semantics, both engines."""
-
-    def _engine(self, mode, monkeypatch):
-        if mode == "numpy":
-            pytest.importorskip("numpy")
-            return "numpy"
-        if mode == "auto-sans-numpy":
-            monkeypatch.setattr(np_engine, "numpy_available",
-                                lambda: False)
-            return "auto"
-        return "single-pass"
+    ``run_sweep`` runs, both semantics."""
 
     @pytest.mark.parametrize("engine_mode", ENGINE_MODES)
     @pytest.mark.parametrize("semantics", SEMANTICS)
     def test_mixed_batch_projection_equivalence(self, events, semantics,
-                                                engine_mode,
-                                                monkeypatch):
-        engine = self._engine(engine_mode, monkeypatch)
+                                                engine_mode):
         queries = []
         for cache in ("itlb", "icache"):
-            queries.extend(_paper_grid_queries(cache, engine, semantics))
+            queries.extend(_paper_grid_queries(cache, "auto", semantics))
         batch = run_batch(queries, events,
                           surface_cache=SurfaceCache())
         assert batch.report.queries == len(queries)
@@ -167,6 +155,7 @@ class TestProjectionEquivalence:
         for query, surface in zip(batch.queries, batch.surfaces):
             solo = run_sweep(query.spec, events)
             _assert_bitwise_equal(surface, solo)
+            assert surface.meta["engine"] == engine_mode
             assert query.answer(surface) == query.answer(solo)
 
     @pytest.mark.parametrize("semantics", SEMANTICS)
@@ -235,7 +224,7 @@ class TestGrouping:
         ("semantics", ("paper", "v2")),
         ("warmup_fraction", (0.25, 0.5)),
         ("dispatched_only", (True, False)),
-        ("engine", ("auto", "single-pass")),
+        ("engine", ("auto", "grid")),
     ])
     def test_differing_field_splits_the_group(self, events, field,
                                               values):

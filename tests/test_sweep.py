@@ -1,18 +1,20 @@
 """Tests for the single-pass sweep subsystem (repro.sweep).
 
 The load-bearing guarantee is *bitwise equivalence*: for every LRU
-configuration on a power-of-two grid, the stack-distance engine must
-produce exactly the hit/miss counts (and therefore bit-identical
-float ratios) that per-configuration ``simulate_itlb`` /
-``simulate_icache`` runs produce — across every warm-up window
-variant, including the quirky ones pinned in test_tracesim.py, and
-under *both* measurement-semantics versions ("paper" preserves the
-quirks, "v2" fixes them).  CI runs the equivalence tests by name
+configuration on a power-of-two grid, the stack-distance engine
+(``engine="auto"``) must produce exactly the hit/miss counts (and
+therefore bit-identical float ratios) that the per-configuration grid
+engine (``engine="grid"``, one ``simulate_itlb`` / ``simulate_icache``
+run per cell) produces — across every warm-up window variant,
+including the quirky ones pinned in test_tracesim.py, and under
+*both* measurement-semantics versions ("paper" preserves the quirks,
+"v2" fixes them).  CI runs the equivalence tests by name
 (``-k "equivalence and paper"`` / ``-k "equivalence and v2"``) as a
 dedicated gate.
 """
 
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -22,10 +24,13 @@ from repro.experiments import fig10, fig11
 from repro.experiments.registry import get as get_experiment
 from repro.sweep import (
     HierarchySpec,
+    NumpyMultiConfigLRU,
     PAPER_SIZES,
+    Query,
+    SurfaceCache,
     SweepSpec,
-    next_use_times,
     paper_hierarchy,
+    run_batch,
     run_hierarchy,
     run_sweep,
 )
@@ -77,28 +82,41 @@ class TestReplayInterfaces:
         return [(i * 3 % 7, i * 3 % 7) for i in range(50)]
 
     def test_replay_accepts_a_generator(self):
-        from repro.sweep.engine import MultiConfigLRU
         refs = self._refs()
-        from_list = MultiConfigLRU({1: 2})
+        from_list = NumpyMultiConfigLRU({1: 2})
         from_list.replay(refs)
-        from_gen = MultiConfigLRU({1: 2})
+        from_gen = NumpyMultiConfigLRU({1: 2})
         from_gen.replay(ref for ref in refs)   # one-shot iterable
         assert from_gen.total == from_list.total == len(refs)
         assert from_gen.hits(1, 2) == from_list.hits(1, 2)
 
     def test_replay_columns_windowing_matches_slicing(self):
-        from repro.sweep.engine import MultiConfigLRU
         refs = self._refs()
         blocks = [block for block, _ in refs]
-        whole = MultiConfigLRU({1: 2}, full_cap=4)
+        whole = NumpyMultiConfigLRU({1: 2}, full_cap=4)
         whole.replay(refs[:20], count=False)
         whole.replay(refs[20:], count=True)
-        windowed = MultiConfigLRU({1: 2}, full_cap=4)
+        windowed = NumpyMultiConfigLRU({1: 2}, full_cap=4)
         windowed.replay_columns(blocks, blocks, stop=20, count=False)
         windowed.replay_columns(blocks, blocks, start=20, count=True)
         assert windowed.total == whole.total
         assert windowed.hits(1, 2) == whole.hits(1, 2)
         assert windowed.full_hits(4) == whole.full_hits(4)
+
+
+def _auto_vs_grid(spec, events):
+    """Run *spec* on the stack-distance and grid engines; pin them
+    bitwise-equal and return the stack-distance surface."""
+    auto = run_sweep(replace(spec, engine="auto"), events)
+    grid = run_sweep(replace(spec, engine="grid"), events)
+    assert auto.meta["engine"] == "numpy"
+    assert grid.meta["engine"] == "grid"
+    assert auto.counts == grid.counts
+    assert list(auto.counts) == list(grid.counts)
+    assert auto.opt_counts == grid.opt_counts
+    for size, assoc, ratio in auto.grid():
+        assert ratio == grid.ratio(assoc, size)
+    return auto
 
 
 class TestSinglePassGridEquivalence:
@@ -109,54 +127,26 @@ class TestSinglePassGridEquivalence:
     @pytest.mark.parametrize("window", WINDOWS,
                              ids=[str(w) for w in WINDOWS])
     def test_itlb_equivalence(self, events, window, semantics):
-        spec = SweepSpec("itlb", engine="single-pass",
-                         semantics=semantics, **GRID, **window)
-        surface = run_sweep(spec, events)
-        for assoc in GRID["associativities"]:
-            for size in PAPER_SIZES:
-                stats = simulate_itlb(events, size, assoc,
-                                      semantics=semantics, **window)
-                assert surface.cell(assoc, size) == (stats.hits,
-                                                     stats.misses)
-                assert surface.ratio(assoc, size) == stats.hit_ratio
+        _auto_vs_grid(SweepSpec("itlb", semantics=semantics, **GRID,
+                                **window), events)
 
     @pytest.mark.parametrize("semantics", SEMANTICS)
     @pytest.mark.parametrize("window", WINDOWS,
                              ids=[str(w) for w in WINDOWS])
     def test_icache_equivalence(self, events, window, semantics):
-        spec = SweepSpec("icache", engine="single-pass",
-                         semantics=semantics, **GRID, **window)
-        surface = run_sweep(spec, events)
-        for assoc in GRID["associativities"]:
-            for size in PAPER_SIZES:
-                stats = simulate_icache(events, size, assoc,
-                                        semantics=semantics, **window)
-                assert surface.cell(assoc, size) == (stats.hits,
-                                                     stats.misses)
-                assert surface.ratio(assoc, size) == stats.hit_ratio
+        _auto_vs_grid(SweepSpec("icache", semantics=semantics, **GRID,
+                                **window), events)
 
     def test_equivalence_with_line_words(self, events):
-        spec = SweepSpec("icache", sizes=(16, 64, 1024),
-                         associativities=(1, 2), line_words=4,
-                         double_pass=True, engine="single-pass")
-        surface = run_sweep(spec, events)
-        for assoc in (1, 2):
-            for size in (16, 64, 1024):
-                stats = simulate_icache(events, size, assoc,
-                                        line_words=4, double_pass=True)
-                assert surface.cell(assoc, size) == (stats.hits,
-                                                     stats.misses)
+        _auto_vs_grid(SweepSpec("icache", sizes=(16, 64, 1024),
+                                associativities=(1, 2), line_words=4,
+                                double_pass=True), events)
 
     def test_equivalence_unfiltered_itlb(self, events):
-        spec = SweepSpec("itlb", sizes=(32, 256), associativities=(2,),
-                         dispatched_only=False, double_pass=True,
-                         engine="single-pass")
-        surface = run_sweep(spec, events)
-        for size in (32, 256):
-            stats = simulate_itlb(events, size, 2,
-                                  dispatched_only=False,
-                                  double_pass=True)
-            assert surface.cell(2, size) == (stats.hits, stats.misses)
+        _auto_vs_grid(SweepSpec("itlb", sizes=(32, 256),
+                                associativities=(2,),
+                                dispatched_only=False,
+                                double_pass=True), events)
 
     @pytest.mark.parametrize("semantics", SEMANTICS)
     def test_equivalence_when_cut_lands_on_non_dispatched(self,
@@ -165,26 +155,17 @@ class TestSinglePassGridEquivalence:
         # exactly.  v2: the always-firing fix must carry over too.
         events = [TraceEvent(i % 9, i % 4, 1, dispatched=(i != 10))
                   for i in range(20)]
-        spec = SweepSpec("itlb", sizes=(8, 16), associativities=(1, 2),
-                         warmup_fraction=0.5, engine="single-pass",
-                         semantics=semantics)
-        surface = run_sweep(spec, events)
-        for assoc in (1, 2):
-            for size in (8, 16):
-                stats = simulate_itlb(events, size, assoc,
-                                      warmup_fraction=0.5,
-                                      semantics=semantics)
-                assert surface.cell(assoc, size) == (stats.hits,
-                                                     stats.misses)
+        _auto_vs_grid(SweepSpec("itlb", sizes=(8, 16),
+                                associativities=(1, 2),
+                                warmup_fraction=0.5,
+                                semantics=semantics), events)
 
     def test_equivalence_one_set_configuration(self, events):
         # size == associativity: a single set, served by the
         # unbounded-depth level rather than a masked one.
-        spec = SweepSpec("itlb", sizes=(16,), associativities=(16,),
-                         double_pass=True, engine="single-pass")
-        surface = run_sweep(spec, events)
-        stats = simulate_itlb(events, 16, 16, double_pass=True)
-        assert surface.cell(16, 16) == (stats.hits, stats.misses)
+        _auto_vs_grid(SweepSpec("itlb", sizes=(16,),
+                                associativities=(16,),
+                                double_pass=True), events)
 
     @settings(max_examples=15, deadline=None)
     @given(st.lists(st.tuples(st.integers(0, 40), st.integers(0, 25),
@@ -196,25 +177,123 @@ class TestSinglePassGridEquivalence:
     def test_property_equivalence(self, rows, window, semantics):
         events = [TraceEvent(address, opcode, opcode % 3, dispatched)
                   for address, opcode, dispatched in rows]
-        spec = SweepSpec("icache", sizes=(8, 32, 128),
-                         associativities=(1, 2, "full"),
-                         engine="single-pass", semantics=semantics,
-                         **window)
-        surface = run_sweep(spec, events)
-        for assoc in (1, 2, "full"):
-            for size in (8, 32, 128):
-                stats = simulate_icache(events, size, assoc,
-                                        semantics=semantics, **window)
-                assert surface.cell(assoc, size) == (stats.hits,
-                                                     stats.misses)
+        _auto_vs_grid(SweepSpec("icache", sizes=(8, 32, 128),
+                                associativities=(1, 2, "full"),
+                                semantics=semantics, **window), events)
+
+
+def _belady_hits(blocks, capacity, measured):
+    """Belady's MIN (no bypass) by brute force: hits among the last
+    *measured* references of *blocks*.
+
+    On a miss with the cache full, evict the resident block whose next
+    reference lies farthest ahead (never again counts as infinitely
+    far); the missing block is always admitted.
+    """
+    def next_use(i, block):
+        for j in range(i + 1, len(blocks)):
+            if blocks[j] == block:
+                return j
+        return float("inf")
+
+    cache = set()
+    hits = 0
+    first_measured = len(blocks) - measured
+    for i, block in enumerate(blocks):
+        if block in cache:
+            if i >= first_measured:
+                hits += 1
+            continue
+        if len(cache) >= capacity:
+            cache.remove(max(cache, key=lambda b: next_use(i, b)))
+        cache.add(block)
+    return hits
+
+
+def _oracle_blocks(spec, events):
+    """The reference stream *spec*'s cache observes, built from the
+    event objects (not the engine's packed columns)."""
+    if spec.cache == "itlb":
+        return [(event.opcode, event.receiver_class) for event in events
+                if event.dispatched or not spec.dispatched_only]
+    return [event.address // spec.line_words for event in events]
+
+
+@st.composite
+def _oracle_chain_cases(draw):
+    """(events, spec): a tiny trace, a random power-of-two geometry,
+    a random warm-up window, either semantics, OPT always on."""
+    rows = draw(st.lists(st.tuples(st.integers(0, 30),
+                                   st.integers(0, 12), st.integers(0, 3),
+                                   st.booleans()),
+                         min_size=1, max_size=80))
+    events = [TraceEvent(*row) for row in rows]
+    cache = draw(st.sampled_from(("itlb", "icache")))
+    line_words = (draw(st.sampled_from((1, 2))) if cache == "icache"
+                  else 1)
+    entries = sorted(draw(st.sets(st.sampled_from((1, 2, 4, 8, 16, 32)),
+                                  min_size=1, max_size=4)))
+    assocs = draw(st.sets(st.sampled_from(
+        [a for a in (1, 2, 4, 8) if a <= entries[0]] + ["full"]),
+        min_size=1))
+    if draw(st.booleans()):
+        window = {"double_pass": True}
+    else:
+        window = {"warmup_fraction": draw(st.floats(0.0, 0.95))}
+    spec = SweepSpec(
+        cache, sizes=tuple(e * line_words for e in entries),
+        associativities=tuple(sorted(assocs, key=str)),
+        line_words=line_words, include_opt=True,
+        include_full=draw(st.booleans()),
+        dispatched_only=draw(st.booleans()),
+        semantics=draw(st.sampled_from(SEMANTICS)), **window)
+    return events, spec
+
+
+class TestOracleChain:
+    """Random tiny traces and geometries: the stack-distance engine,
+    the grid engine and the batch planner agree bitwise, and OPT
+    matches a brute-force Belady MIN."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(_oracle_chain_cases())
+    def test_property_oracle_chain_equivalence(self, case):
+        events, spec = case
+        auto = _auto_vs_grid(spec, events)
+        first = spec.associativities[0]
+        point = replace(spec, sizes=(spec.sizes[-1],),
+                        associativities=(first,), include_full=False,
+                        include_opt=False)
+        queries = [Query(spec=spec),
+                   Query(spec=point, kind="stats", associativity=first,
+                         size=spec.sizes[-1])]
+        batch = run_batch(queries, events, surface_cache=SurfaceCache())
+        assert batch.report.replays == 1
+        for query, surface in zip(batch.queries, batch.surfaces):
+            solo = auto if query.spec == spec else run_sweep(query.spec,
+                                                             events)
+            assert surface.counts == solo.counts
+            assert surface.opt_counts == solo.opt_counts
+            assert surface.meta == solo.meta
+
+        blocks = _oracle_blocks(spec, events)
+        hits, misses = auto.cell(first, spec.sizes[0])
+        measured = hits + misses
+        if spec.double_pass:
+            blocks = blocks + blocks
+        for size in spec.sizes:
+            opt_hits = _belady_hits(blocks, spec.entries(size), measured)
+            assert auto.opt_counts[size] == (opt_hits,
+                                             measured - opt_hits)
 
 
 class TestSpecValidation:
     def test_rejects_unknown_cache_engine_policy(self):
         with pytest.raises(ValueError, match="cache kind"):
             SweepSpec("dcache")
-        with pytest.raises(ValueError, match="engine"):
-            SweepSpec("itlb", engine="psychic")
+        for engine in ("psychic", "single-pass", "numpy"):
+            with pytest.raises(ValueError, match="engine"):
+                SweepSpec("itlb", engine=engine)
         with pytest.raises(ValueError, match="policy"):
             SweepSpec("itlb", policy="mru")
 
@@ -243,11 +322,6 @@ class TestSpecValidation:
         # 24 entries, 2-way: 12 sets is not a power of two.
         assert not SweepSpec("itlb", sizes=(24,),
                              associativities=(2,)).single_pass_eligible()
-
-    def test_forced_single_pass_on_ineligible_spec_raises(self, events):
-        spec = SweepSpec("itlb", policy="fifo", engine="single-pass")
-        with pytest.raises(ValueError, match="not single-pass eligible"):
-            run_sweep(spec, events)
 
     def test_hierarchy_validation(self):
         with pytest.raises(ValueError, match="at least one level"):
@@ -368,27 +442,12 @@ class TestGridFallback:
         assert surface.meta["trace_passes"] == 2 * 2 * 2  # cells x warm
         single = run_sweep(
             SweepSpec("icache", sizes=(8, 16), associativities=(1, 2),
-                      double_pass=True, engine="single-pass"), events)
+                      double_pass=True, engine="auto"), events)
         assert single.meta["trace_passes"] == 2
         assert single.counts == surface.counts
 
 
 class TestReferenceCurves:
-    def _belady_hits(self, blocks, size):
-        next_use = next_use_times(blocks)
-        cache, current, hits = set(), {}, 0
-        for i, block in enumerate(blocks):
-            if block in cache:
-                hits += 1
-            current[block] = next_use[i]
-            if block not in cache:
-                if len(cache) >= size:
-                    victim = max(cache,
-                                 key=lambda b: (current[b], repr(b)))
-                    cache.remove(victim)
-                cache.add(block)
-        return hits
-
     def test_opt_matches_brute_force_belady(self):
         rnd = random.Random(3)
         for _ in range(10):
@@ -396,12 +455,12 @@ class TestReferenceCurves:
                       for _ in range(rnd.randrange(50, 300))]
             spec = SweepSpec("icache", sizes=(1, 2, 4, 8, 16, 32),
                              associativities=(1,), warmup_fraction=0.0,
-                             include_opt=True, engine="single-pass")
+                             include_opt=True)
             surface = run_sweep(spec, events)
             blocks = [event.address for event in events]
             for size in spec.sizes:
                 hits, _ = surface.opt_counts[size]
-                assert hits == self._belady_hits(blocks, size)
+                assert hits == _belady_hits(blocks, size, len(blocks))
 
     def test_opt_dominates_lru_at_every_size(self, events):
         spec = SweepSpec("icache", sizes=(8, 64, 512),
@@ -463,7 +522,7 @@ class TestResultSurface:
         legacy = surface.to_sweep_result()
         assert legacy.label == "ITLB"
         assert legacy.ratio(2, 32) == surface.ratio(2, 32)
-        assert legacy.meta["engine"] in ("single-pass", "numpy")
+        assert legacy.meta["engine"] == "numpy"
         assert "2-way" in legacy.table()
 
     def test_table_includes_reference_columns(self, surface):
@@ -482,7 +541,7 @@ class TestHierarchy:
         itlb, icache = run_hierarchy(paper_hierarchy(), events)
         assert itlb.label == "ITLB"
         assert icache.label == "instruction cache"
-        assert itlb.meta["engine"] in ("single-pass", "numpy")
+        assert itlb.meta["engine"] == "numpy"
         assert itlb.meta["trace_passes"] == 2
         assert icache.meta["trace_passes"] == 2
 
@@ -502,12 +561,12 @@ class TestHierarchy:
 class TestExperimentIntegration:
     def test_fig10_runs_on_the_engine(self, events):
         result = fig10.run(events=events, plot=False)
-        assert result.data["engine"] in ("single-pass", "numpy")
+        assert result.data["engine"] == "numpy"
         assert result.data["trace_passes"] == 2
 
     def test_fig11_runs_on_the_engine(self, events):
         result = fig11.run(events=events, plot=False)
-        assert result.data["engine"] in ("single-pass", "numpy")
+        assert result.data["engine"] == "numpy"
         assert result.data["trace_passes"] == 2
 
     def test_figure_specs_are_unsharded_single_tasks(self):
@@ -555,7 +614,7 @@ class TestCli:
         assert "ITLB hit ratio vs cache size" in out
         assert "instruction cache hit ratio vs cache size" in out
         assert "OPT" in out
-        assert ("engine: single-pass" in out) or ("engine: numpy" in out)
+        assert "engine: numpy" in out
 
     def test_sweep_single_cache_with_warmup_and_plot(self, tmp_path,
                                                      capsys):
@@ -575,6 +634,12 @@ class TestCli:
                       "--trace-dir", str(tmp_path)])
         with pytest.raises(SystemExit):
             cli_main(["sweep", "--assoc", "semi",
+                      "--trace-dir", str(tmp_path)])
+
+    @pytest.mark.parametrize("engine", ["single-pass", "numpy"])
+    def test_sweep_rejects_removed_engines(self, tmp_path, engine):
+        with pytest.raises(SystemExit):
+            cli_main(["sweep", "--engine", engine,
                       "--trace-dir", str(tmp_path)])
 
     @pytest.mark.parametrize("fraction", ["1.0", "-0.25", "nan", "two"])

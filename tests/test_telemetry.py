@@ -176,11 +176,8 @@ class TestMergeAndFinalize:
         block = telemetry.environment_block()
         assert "numpy" in block
         assert block["python"]
-        try:
-            import numpy
-            assert block["numpy"] == numpy.__version__
-        except ImportError:
-            assert block["numpy"] is None
+        import numpy
+        assert block["numpy"] == numpy.__version__
 
 
 class TestProcessHandoff:
