@@ -32,13 +32,23 @@ takes the connection down.
 Admission control
 -----------------
 
-Requests whose every query is already cached (memory or disk) are
-answered inline on the event loop -- a cache probe plus dict reads.
-Requests that need engine replays go through a bounded replay gate:
-at most ``queue_limit`` replaying requests at a time, the rest
-rejected *explicitly* (``"status": "overloaded"``, HTTP 503, the
+Each request is probed once (:func:`~repro.sweep.planner.probe_batch`:
+memory tier, then disk tier), and that one probe both decides
+admission and supplies the answers.  A request whose every query
+the probe answered takes no replay slot and is counted as
+``serve.inline`` (``"inline": true`` in its stats); when its trace is
+already open (:meth:`~repro.workloads.store.TraceStore.peek`) it is
+served in one synchronous pass on the event loop, with no thread hop.
+Only work that can block takes the executor: the first load of a
+trace, and replays.  A request with any miss goes through a
+bounded replay gate, which sends just its pending groups
+(:func:`~repro.sweep.planner.replay_batch`) to the executor: at most
+``queue_limit`` replaying requests at a time, the rest rejected
+*explicitly* (``"status": "overloaded"``, HTTP 503, the
 ``serve.rejected`` counter) rather than queued into memory until the
 process dies.  The current depth is the ``serve.queue_depth`` gauge.
+An entry evicted after the probe changes nothing: the probe already
+holds its decoded surface.
 
 Every request passes the ``serve.request`` fault-injection site
 (payload kinds mangle the raw request bytes, exercising the
@@ -242,84 +252,53 @@ class SweepServer:
                 results[slot] = {"ok": False, "error": str(error)}
         telemetry.inc("serve.queries", len(raw_queries))
 
+        workload = document.get("workload", "paper")
+        quick = bool(document.get("quick", False))
+        scale = document.get("scale")
+        params = document.get("params") or {}
         loop = asyncio.get_running_loop()
-        events = await loop.run_in_executor(
-            None, functools.partial(
-                self.store.load, document.get("workload", "paper"),
-                quick=bool(document.get("quick", False)),
-                scale=document.get("scale"),
-                **(document.get("params") or {})))
+        events = self.store.peek(workload, quick=quick, scale=scale,
+                                 **params)
+        if events is None:
+            events = await loop.run_in_executor(None, functools.partial(
+                self.store.load, workload, quick=quick, scale=scale,
+                **params))
 
-        report = None
-        if parsed:
-            queries = [query for _, query in parsed]
-            if self._all_cached(queries, events):
-                # Pure cache reads: answered inline on the event loop,
-                # never occupying a replay slot.
-                batch = planner.run_batch(
-                    queries, events, surface_cache=self.surface_cache)
-            else:
-                if self._replaying >= self.queue_limit:
-                    self.rejected += 1
-                    telemetry.inc("serve.rejected")
-                    return {
-                        "id": request_id, "ok": False,
-                        "status": "overloaded",
-                        "error": f"replay queue full "
-                                 f"({self._replaying} replaying, "
-                                 f"limit {self.queue_limit}); retry",
-                    }
-                self._replaying += 1
+        probe = planner.probe_batch([query for _, query in parsed],
+                                    events,
+                                    surface_cache=self.surface_cache)
+        inline = not probe.pending
+        if inline:
+            telemetry.inc("serve.inline")
+            batch = probe.result()
+        else:
+            if self._replaying >= self.queue_limit:
+                self.rejected += 1
+                telemetry.inc("serve.rejected")
+                return {
+                    "id": request_id, "ok": False,
+                    "status": "overloaded",
+                    "error": f"replay queue full "
+                             f"({self._replaying} replaying, "
+                             f"limit {self.queue_limit}); retry",
+                }
+            self._replaying += 1
+            telemetry.gauge("serve.queue_depth", self._replaying)
+            try:
+                batch = await loop.run_in_executor(
+                    None, functools.partial(planner.replay_batch, probe))
+            finally:
+                self._replaying -= 1
                 telemetry.gauge("serve.queue_depth", self._replaying)
-                try:
-                    batch = await loop.run_in_executor(
-                        None, functools.partial(
-                            planner.run_batch, queries, events,
-                            surface_cache=self.surface_cache))
-                finally:
-                    self._replaying -= 1
-                    telemetry.gauge("serve.queue_depth",
-                                    self._replaying)
-            for (slot, query), surface in zip(parsed, batch.surfaces):
-                results[slot] = {"ok": True, "kind": query.kind,
-                                 "answer": query.answer(surface)}
-            report = batch.report
-        stats = report.to_dict() if report is not None else \
-            planner.BatchReport().to_dict()
+        for (slot, query), surface in zip(parsed, batch.surfaces):
+            results[slot] = {"ok": True, "kind": query.kind,
+                             "answer": query.answer(surface)}
+        stats = batch.report.to_dict()
         stats["served_from_cache"] = (stats["cache_hits"]["memory"]
                                       + stats["cache_hits"]["disk"])
-        return {"id": request_id, "ok": True,
-                "workload": document.get("workload", "paper"),
+        stats["inline"] = inline
+        return {"id": request_id, "ok": True, "workload": workload,
                 "results": results, "stats": stats}
-
-    def _all_cached(self, queries: List[planner.Query],
-                    events) -> bool:
-        """Whether every query can be answered without a replay slot.
-
-        Existence probes only (no counters, no reads): the same
-        pattern the harness uses to serve cached experiments inline.
-        A probe that says "cached" can still race an eviction -- the
-        planner then replays inline, which is correct, just slower
-        than the admission gate assumed.
-        """
-        trace_key = getattr(events, "store_key", None)
-        if not trace_key:
-            return False
-        store_root = getattr(events, "store_root", None)
-        from repro.sweep.runner import _result_cache, result_cache_key
-        from repro.workloads.library import ResultCache
-        disk = _result_cache(store_root) \
-            if store_root and ResultCache.enabled() else None
-        for query in queries:
-            key = result_cache_key(query.spec, trace_key)
-            if self.surface_cache is not None \
-                    and planner.SurfaceCache.enabled() \
-                    and self.surface_cache.contains(key):
-                continue
-            if disk is not None and disk.contains(key):
-                continue
-            return False
-        return True
 
 
 # -- CLI entry point -------------------------------------------------------

@@ -14,9 +14,11 @@ carefully crafted superset spec:
     projecting the JSON-shaped reply out of a surface.
 
 :func:`run_batch`
-    The planner.  Queries are answered from cache when possible
-    (the in-memory :class:`SurfaceCache`, then the disk
-    :class:`~repro.workloads.library.ResultCache`); the misses are
+    The planner, in two steps.  :func:`probe_batch` answers queries
+    from cache when possible (the in-memory :class:`SurfaceCache`,
+    then the disk :class:`~repro.workloads.library.ResultCache`) --
+    cache reads only, cheap enough for an event loop.
+    :func:`replay_batch` handles the misses: they are
     grouped by everything that must match for two queries to share a
     replay (cache kind, line size, policy, warm-up, semantics,
     engine -- the trace itself is the batch's), the *superset*
@@ -68,7 +70,7 @@ from repro import telemetry
 from repro.sweep.runner import _result_cache, result_cache_key, run_sweep
 from repro.sweep.spec import CACHE_KINDS, SweepSpec
 from repro.sweep.surface import ResultSurface
-from repro.trace.columnar import as_trace
+from repro.trace.columnar import Trace, as_trace
 from repro.trace.semantics import SEMANTICS
 from repro.workloads.library import ResultCache
 
@@ -514,14 +516,42 @@ class BatchResult:
                 for query, surface in zip(self.queries, self.surfaces)]
 
 
-def run_batch(queries: Sequence[Query], events,
-              *, surface_cache: Optional[SurfaceCache] = None
-              ) -> BatchResult:
-    """Answer every query over one trace with as few replays as the
-    grouping rules allow.  See the module docstring for the pipeline;
-    the returned surfaces are bitwise-identical to per-query
-    :func:`~repro.sweep.runner.run_sweep` results (pinned by
-    tests/test_planner.py).
+@dataclass
+class BatchProbe:
+    """A batch after the cache tiers, before any replay.
+
+    ``surfaces`` holds every answer the tiers had (None where they had
+    none) and ``pending`` the unanswered query indexes, grouped by
+    :func:`_group_key`.  The probed surfaces are decoded payloads the
+    probe owns, so an eviction after the probe cannot take them back.
+    """
+
+    queries: List[Query]
+    events: Trace
+    keys: List[Optional[str]]
+    surfaces: List[Optional[ResultSurface]]
+    pending: Dict[Tuple, List[int]]
+    report: BatchReport
+    memory: Optional[SurfaceCache]
+    disk: Optional[ResultCache]
+
+    def result(self) -> BatchResult:
+        """The answered batch, once no group is pending."""
+        if self.pending:
+            raise RuntimeError("pending groups need replay_batch() first")
+        return BatchResult(queries=self.queries, surfaces=self.surfaces,
+                           report=self.report)
+
+
+def probe_batch(queries: Sequence[Query], events,
+                *, surface_cache: Optional[SurfaceCache] = None
+                ) -> BatchProbe:
+    """Answer what the cache tiers can: the in-memory
+    :class:`SurfaceCache`, then the disk result cache.
+
+    Cache reads only, never a replay, and one content key per query
+    (kept for the replay step's puts).  :func:`replay_batch` finishes
+    the batch.
     """
     queries = list(queries)
     events = as_trace(events)
@@ -536,67 +566,90 @@ def run_batch(queries: Sequence[Query], events,
 
     report = BatchReport(queries=len(queries))
     telemetry.inc("planner.queries", len(queries))
+    keys = [result_cache_key(query.spec, trace_key) if trace_key else None
+            for query in queries]
     surfaces: List[Optional[ResultSurface]] = [None] * len(queries)
-    keys: List[Optional[str]] = [None] * len(queries)
     pending: Dict[Tuple, List[int]] = {}
-
-    with telemetry.span("planner.batch", queries=len(queries)) as sp:
-        for i, query in enumerate(queries):
-            key = result_cache_key(query.spec, trace_key) \
-                if trace_key else None
-            keys[i] = key
-            if key is not None and memory is not None:
-                payload = memory.get(key)
-                if payload is not None:
-                    surface = ResultSurface.from_payload(query.spec,
-                                                         payload)
-                    if surface is not None:
-                        surfaces[i] = surface
-                        report.memory_hits += 1
-                        telemetry.inc("planner.cache_hit",
-                                      tier="memory")
-                        continue
-            if key is not None and disk is not None:
-                payload = disk.get(key)
-                if payload is not None:
-                    surface = ResultSurface.from_payload(query.spec,
-                                                         payload)
-                    if surface is not None:
-                        surfaces[i] = surface
-                        report.disk_hits += 1
-                        telemetry.inc("planner.cache_hit", tier="disk")
-                        if memory is not None:
-                            memory.put(key, payload)
-                        continue
-            pending.setdefault(_group_key(query.spec), []).append(i)
-
-        for indexes in pending.values():
-            report.groups += 1
-            merged = _superset_spec([queries[i].spec for i in indexes])
-            if merged is None:
-                for i in indexes:
-                    surfaces[i] = run_sweep(queries[i].spec, events)
-                    report.fallbacks += 1
-                    report.replays += 1
-                    report.trace_passes += \
-                        surfaces[i].meta.get("trace_passes", 0)
-                    telemetry.inc("planner.fallback")
-                continue
-            superset = _run_superset(merged, events, trace_key, memory,
-                                     disk, len(indexes), report)
-            for i in indexes:
-                surface = _project(queries[i].spec, superset)
-                surfaces[i] = surface
-                if keys[i] is not None:
-                    payload = surface.to_payload()
+    for i, (query, key) in enumerate(zip(queries, keys)):
+        if key is not None and memory is not None:
+            payload = memory.get(key)
+            if payload is not None:
+                surface = ResultSurface.from_payload(query.spec, payload)
+                if surface is not None:
+                    surfaces[i] = surface
+                    report.memory_hits += 1
+                    telemetry.inc("planner.cache_hit", tier="memory")
+                    continue
+        if key is not None and disk is not None:
+            payload = disk.get(key)
+            if payload is not None:
+                surface = ResultSurface.from_payload(query.spec, payload)
+                if surface is not None:
+                    surfaces[i] = surface
+                    report.disk_hits += 1
+                    telemetry.inc("planner.cache_hit", tier="disk")
                     if memory is not None:
-                        memory.put(keys[i], payload)
-                    if disk is not None:
-                        disk.put(keys[i], payload)
+                        memory.put(key, payload)
+                    continue
+        pending.setdefault(_group_key(query.spec), []).append(i)
+    return BatchProbe(queries=queries, events=events, keys=keys,
+                      surfaces=surfaces, pending=pending, report=report,
+                      memory=memory, disk=disk)
+
+
+def replay_batch(probe: BatchProbe) -> BatchResult:
+    """Replay *probe*'s pending groups -- one superset replay per
+    group where the union geometry allows, individual runs otherwise
+    -- project every query's surface out, and write both cache tiers.
+    """
+    queries, events, report = probe.queries, probe.events, probe.report
+    memory, disk = probe.memory, probe.disk
+    trace_key = getattr(events, "store_key", None)
+    for indexes in probe.pending.values():
+        report.groups += 1
+        merged = _superset_spec([queries[i].spec for i in indexes])
+        if merged is None:
+            for i in indexes:
+                surface = probe.surfaces[i] = run_sweep(queries[i].spec,
+                                                        events)
+                report.fallbacks += 1
+                report.replays += 1
+                report.trace_passes += surface.meta.get("trace_passes", 0)
+                telemetry.inc("planner.fallback")
+            continue
+        superset = _run_superset(merged, events, trace_key, memory, disk,
+                                 len(indexes), report)
+        for i in indexes:
+            surface = probe.surfaces[i] = _project(queries[i].spec,
+                                                   superset)
+            key = probe.keys[i]
+            if key is not None:
+                payload = surface.to_payload()
+                if memory is not None:
+                    memory.put(key, payload)
+                if disk is not None:
+                    disk.put(key, payload)
+    probe.pending = {}
+    return probe.result()
+
+
+def run_batch(queries: Sequence[Query], events,
+              *, surface_cache: Optional[SurfaceCache] = None
+              ) -> BatchResult:
+    """Answer every query over one trace with as few replays as the
+    grouping rules allow: :func:`probe_batch`, then
+    :func:`replay_batch`.  See the module docstring for the pipeline;
+    the returned surfaces are bitwise-identical to per-query
+    :func:`~repro.sweep.runner.run_sweep` results (pinned by
+    tests/test_planner.py).
+    """
+    with telemetry.span("planner.batch", queries=len(queries)) as sp:
+        batch = replay_batch(probe_batch(queries, events,
+                                         surface_cache=surface_cache))
+        report = batch.report
         sp.set(replays=report.replays, coalesced=report.coalesced,
                cache_hits=report.memory_hits + report.disk_hits)
-    return BatchResult(queries=queries, surfaces=surfaces,
-                       report=report)
+    return batch
 
 
 def _run_superset(merged: SweepSpec, events, trace_key: Optional[str],

@@ -41,8 +41,10 @@ import hashlib
 import json
 import time
 from array import array
-from dataclasses import asdict
+from dataclasses import fields
 from typing import Dict, Optional, Sequence, Tuple
+
+import numpy as np
 
 from repro import telemetry
 from repro.caches.setassoc import stable_hash
@@ -67,21 +69,31 @@ RefColumns = Tuple[Sequence, Sequence[int]]
 ENGINE_VERSION = 1
 
 
+#: The spec fields a result-cache key covers: all but the display-only
+#: ``label`` (two labels of the same sweep share one result).
+_KEY_FIELDS = tuple(f.name for f in fields(SweepSpec) if f.name != "label")
+
+#: One encoder for every key: ``json.dumps`` with these options would
+#: build a fresh one per call.
+_KEY_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"),
+                                default=str)
+
+
 def result_cache_key(spec: SweepSpec, trace_key: str) -> str:
     """The content key one (trace, sweep) query memoizes under.
 
-    Canonical JSON over the trace's store key, the *full* spec
-    (minus the display-only ``label`` -- two labels of the same sweep
-    share one result; note ``engine`` stays in the key, so the
-    engine-equivalence pins always compare freshly computed
-    surfaces), and :data:`ENGINE_VERSION`.
+    Canonical JSON over the trace's store key, the *full* spec (every
+    field but ``label``, each value exactly as the spec holds it; note
+    ``engine`` stays in the key, so the engine-equivalence pins always
+    compare freshly computed surfaces), and :data:`ENGINE_VERSION`.
+    The fields are read straight off the spec -- the same document
+    ``dataclasses.asdict`` would build, at a quarter of the cost -- so
+    the keys of existing on-disk caches are unchanged.
     """
-    identity = asdict(spec)
-    identity.pop("label", None)
-    blob = json.dumps(
+    identity = {name: getattr(spec, name) for name in _KEY_FIELDS}
+    blob = _KEY_ENCODER.encode(
         {"trace": trace_key, "spec": identity,
-         "engine_version": ENGINE_VERSION},
-        sort_keys=True, separators=(",", ":"), default=str)
+         "engine_version": ENGINE_VERSION})
     return hashlib.sha256(blob.encode()).hexdigest()[:24]
 
 
@@ -100,35 +112,28 @@ def _result_cache(root: str) -> ResultCache:
 # -- reference streams ----------------------------------------------------
 
 def _itlb_ref_columns(trace: Trace, dispatched_only: bool) -> RefColumns:
-    """The (key, stable hash) columns the ITLB sees.
+    """The (key, stable hash) columns the ITLB sees, as numpy arrays.
 
     Block identities are the opcode/class pair packed into one int
-    (injective for the 32-bit column values), so the hot replay loop
-    never builds a key tuple; the placement hash -- which must stay
-    bitwise-identical to the set placement the real ITLB computes --
-    is memoized per distinct key, so the tuple it hashes is built
-    once per key instead of once per reference.
+    (injective for the 32-bit column values), built in one array
+    pass; the placement hash -- which must stay bitwise-identical to
+    the set placement the real ITLB computes -- runs once per distinct
+    key, on that key's first (opcode, class) pair as Python ints.
     """
-    opcodes = trace.opcodes()
-    classes = trace.receiver_classes()
-    indices = (trace.dispatched_indices() if dispatched_only
-               else range(len(trace)))
-    blocks = array("q")
-    placements = array("Q")
-    hashes: Dict[int, int] = {}
-    block_append = blocks.append
-    placement_append = placements.append
-    for i in indices:
-        opcode = opcodes[i]
-        receiver = classes[i]
-        packed = (opcode << 32) ^ (receiver & 0xFFFFFFFF)
-        placement = hashes.get(packed)
-        if placement is None:
-            placement = hashes[packed] = stable_hash(
-                (opcode, (receiver,)))
-        block_append(packed)
-        placement_append(placement)
-    return blocks, placements
+    opcodes = np.asarray(trace.opcodes(), dtype=np.int64)
+    classes = np.asarray(trace.receiver_classes(), dtype=np.int64)
+    if dispatched_only:
+        indices = np.asarray(trace.dispatched_indices(), dtype=np.intp)
+        opcodes = opcodes[indices]
+        classes = classes[indices]
+    blocks = (opcodes << 32) ^ (classes & 0xFFFFFFFF)
+    _, first, inverse = np.unique(blocks, return_index=True,
+                                  return_inverse=True)
+    hashes = np.array(
+        [stable_hash((opcode, (receiver,))) for opcode, receiver
+         in zip(opcodes[first].tolist(), classes[first].tolist())],
+        dtype=np.uint64)
+    return blocks, hashes[inverse]
 
 
 def _icache_ref_columns(trace: Trace, line_words: int) -> RefColumns:
@@ -173,20 +178,21 @@ def _opt_counts(spec: SweepSpec, blocks: Sequence,
     ``reset_at`` is the single-pass warm-up cut (``None``: measure
     everything); double-pass specs ignore it.
     """
-    n_refs = len(blocks)
+    # Python ints, whatever the column type: OptStack's list scans
+    # compare and hash them per reference.
+    refs = blocks.tolist()
+    n_refs = len(refs)
     opt = OptStack(max(spec.entries(s) for s in spec.sizes))
     if spec.double_pass:
-        doubled = list(blocks)
-        doubled += doubled
-        next_use = np_engine.np_next_use_times(doubled)
+        next_use = np_engine.np_next_use_times(refs + refs)
         for i in range(n_refs):
-            opt.touch(blocks[i], next_use[i], count=False)
+            opt.touch(refs[i], next_use[i], count=False)
         for i in range(n_refs):
-            opt.touch(blocks[i], next_use[n_refs + i], count=True)
+            opt.touch(refs[i], next_use[n_refs + i], count=True)
     else:
         next_use = np_engine.np_next_use_times(blocks)
         for index in range(n_refs):
-            opt.touch(blocks[index], next_use[index],
+            opt.touch(refs[index], next_use[index],
                       count=(reset_at is None or index >= reset_at))
     counts = {}
     for size in spec.sizes:

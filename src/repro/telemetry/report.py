@@ -278,6 +278,7 @@ def build_report(data: dict, top: int = 10) -> dict:
     qpr_sum = sum(hist.get("sum", 0.0) for hist in qpr.values())
     serving = {
         "requests": counter_total(metrics, "serve.requests"),
+        "inline": counter_total(metrics, "serve.inline"),
         "queries": counter_total(metrics, "serve.queries"),
         "rejected": counter_total(metrics, "serve.rejected"),
         "request_errors": counter_total(metrics, "serve.errors"),
@@ -414,7 +415,8 @@ def render(report: dict) -> str:
     if serving.get("requests") or serving.get("planner_queries"):
         lines.append("")
         lines.append("query planner / serving:")
-        lines.append(f"  {serving['requests']:.0f} request(s), "
+        lines.append(f"  {serving['requests']:.0f} request(s) "
+                     f"({serving['inline']:.0f} answered inline), "
                      f"{serving['queries']:.0f} wire quer(ies), "
                      f"{serving['rejected']:.0f} rejected overloaded, "
                      f"{serving['request_errors']:.0f} bad")

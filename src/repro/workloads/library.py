@@ -31,7 +31,9 @@ services the reworked store composes:
     ``store.result_cache`` injection site (a corrupt entry is a clean
     miss, never an error), and evicted LRU by a byte budget
     (``REPRO_RESULT_CACHE_BYTES``, default 256 MiB) where "recently
-    used" is the file mtime, refreshed on every hit.  Disable
+    used" is the file mtime, refreshed on every hit.  A put adds its
+    bytes to a running total seeded by one directory scan; only a put
+    that takes the total over the budget rescans and evicts.  Disable
     entirely with ``REPRO_RESULT_CACHE=0``.
 """
 
@@ -40,6 +42,7 @@ from __future__ import annotations
 import json
 import os
 import tempfile
+import threading
 import time
 import zlib
 from pathlib import Path
@@ -392,6 +395,16 @@ class ResultCache:
     opaque here; this class only handles placement (sharded like the
     trace payloads), atomicity, the miss-on-corruption rule, LRU
     eviction by byte budget, and telemetry.
+
+    Budget accounting is a running byte total, not a scan per put:
+    the first put seeds it with one directory scan, every later put
+    adds the bytes it wrote, and only a put that takes the total over
+    the budget rescans the directory (which also corrects the total
+    for entries other processes added or evicted) and evicts.  The
+    total never counts low -- an overwritten entry is counted twice
+    until the next rescan -- so one process alone never leaves the
+    directory over budget; P processes sharing a root can leave it at
+    most P budgets large between rescans (DESIGN.md has the bound).
     """
 
     def __init__(self, root: os.PathLike,
@@ -408,6 +421,10 @@ class ResultCache:
         self.hits = 0
         self.misses = 0
         self.evicted = 0
+        #: Bytes on disk as this instance last saw them plus what it
+        #: has put since; None until the first put seeds it.
+        self._bytes: Optional[int] = None
+        self._lock = threading.Lock()
 
     @staticmethod
     def enabled() -> bool:
@@ -459,14 +476,19 @@ class ResultCache:
 
     def put(self, key: str, payload: dict) -> None:
         """Store *payload* under *key* (atomic, best-effort), then
-        enforce the byte budget."""
-        if not _atomic_write(
-                self.path_for(key),
-                json.dumps(payload, sort_keys=True,
-                           separators=(",", ":")) + "\n"):
+        enforce the byte budget: a rescan and eviction only when the
+        running total crosses it (or on the first put, to seed it)."""
+        blob = json.dumps(payload, sort_keys=True,
+                          separators=(",", ":")) + "\n"
+        if not _atomic_write(self.path_for(key), blob):
             return
         telemetry.inc("result_cache.put")
-        self.evict()
+        with self._lock:
+            if self._bytes is not None \
+                    and self._bytes + len(blob) <= self.budget_bytes:
+                self._bytes += len(blob)
+                return
+            self._evict_locked()
 
     def _entries(self) -> List[Tuple[int, int, Path]]:
         """(mtime_ns, bytes, path) for every cache entry.
@@ -492,16 +514,21 @@ class ResultCache:
         return out
 
     def evict(self) -> int:
-        """Drop least-recently-used entries until under budget.
+        """Rescan, then drop least-recently-used entries until under
+        budget.
 
-        Returns how many entries were removed.  Nanosecond mtime is
-        the LRU clock (refreshed by :meth:`get`); exact ties -- same
-        stamp on a coarse-granularity filesystem -- break by the
-        entry's filename (the content key, unique and root-relative),
-        so two processes evicting concurrently converge on the same
-        survivors regardless of scan order or where the root is
-        mounted.
+        Returns how many entries were removed, and resets the running
+        total to what survives.  Nanosecond mtime is the LRU clock
+        (refreshed by :meth:`get`); exact ties -- same stamp on a
+        coarse-granularity filesystem -- break by the entry's filename
+        (the content key, unique and root-relative), so two processes
+        evicting concurrently converge on the same survivors
+        regardless of scan order or where the root is mounted.
         """
+        with self._lock:
+            return self._evict_locked()
+
+    def _evict_locked(self) -> int:
         entries = self._entries()
         total = sum(size for _, size, _ in entries)
         removed = 0
@@ -517,17 +544,20 @@ class ResultCache:
             removed += 1
             self.evicted += 1
             telemetry.inc("result_cache.evict")
+        self._bytes = total
         return removed
 
     def clear(self) -> int:
         """Remove every entry (CLI maintenance); the count removed."""
         removed = 0
-        for _, _, path in self._entries():
-            try:
-                path.unlink()
-                removed += 1
-            except OSError:
-                pass
+        with self._lock:
+            for _, _, path in self._entries():
+                try:
+                    path.unlink()
+                    removed += 1
+                except OSError:
+                    pass
+            self._bytes = None
         return removed
 
     def stats(self) -> dict:

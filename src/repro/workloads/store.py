@@ -154,15 +154,39 @@ class TraceStore:
 
     # -- load / materialize ---------------------------------------------
 
+    @staticmethod
+    def _resolve(name_or_spec, quick: bool, scale: Optional[int],
+                 overrides) -> Tuple[WorkloadSpec, Mapping[str, object]]:
+        spec = (name_or_spec if isinstance(name_or_spec, WorkloadSpec)
+                else get_spec(name_or_spec))
+        return spec, spec.resolve(quick=quick, scale=scale,
+                                  overrides=overrides)
+
     def load(self, name_or_spec, *, quick: bool = False,
              scale: Optional[int] = None,
              **overrides) -> Trace:
         """Load a workload's trace, generating and caching on miss."""
-        spec = (name_or_spec if isinstance(name_or_spec, WorkloadSpec)
-                else get_spec(name_or_spec))
-        params = spec.resolve(quick=quick, scale=scale,
-                              overrides=overrides)
-        return self._load_resolved(spec, params)
+        return self._load_resolved(
+            *self._resolve(name_or_spec, quick, scale, overrides))
+
+    def peek(self, name_or_spec, *, quick: bool = False,
+             scale: Optional[int] = None,
+             **overrides) -> Optional[Trace]:
+        """The trace :meth:`load` would return, if this store already
+        has it open; None otherwise.
+
+        Never reads disk or generates, so it never blocks: the server
+        answers requests on an open trace without a thread hop, and
+        sends only the first load of a trace to its executor.  A hit
+        counts ``store.memo_hit`` once, as a memoized :meth:`load`
+        would.
+        """
+        spec, params = self._resolve(name_or_spec, quick, scale,
+                                     overrides)
+        memo = self._memo.get(self.key_for(spec, params))
+        if memo is not None:
+            telemetry.inc("store.memo_hit")
+        return memo
 
     def trace_key(self, name_or_spec, *, quick: bool = False,
                   scale: Optional[int] = None, **overrides) -> str:
@@ -173,24 +197,19 @@ class TraceStore:
         whether an experiment has to be scheduled at all, so it must
         not cost a payload read or a generator run.
         """
-        spec = (name_or_spec if isinstance(name_or_spec, WorkloadSpec)
-                else get_spec(name_or_spec))
-        params = spec.resolve(quick=quick, scale=scale,
-                              overrides=overrides)
-        return self.key_for(spec, params)
+        return self.key_for(*self._resolve(name_or_spec, quick, scale,
+                                           overrides))
 
     def ensure(self, name_or_spec, *, quick: bool = False,
                scale: Optional[int] = None,
                **overrides) -> Tuple[Path, bool]:
         """Materialize a workload on disk; returns (path, was_hit)."""
-        spec = (name_or_spec if isinstance(name_or_spec, WorkloadSpec)
-                else get_spec(name_or_spec))
-        params = spec.resolve(quick=quick, scale=scale,
-                              overrides=overrides)
-        key = self.key_for(spec, params)
+        spec, params = self._resolve(name_or_spec, quick, scale,
+                                     overrides)
         before = self.generated
         self._load_resolved(spec, params)
-        return self._locate(spec.name, key), self.generated == before
+        return (self._locate(spec.name, self.key_for(spec, params)),
+                self.generated == before)
 
     def _load_resolved(self, spec: WorkloadSpec,
                        params: Mapping[str, object]) -> Trace:

@@ -9,6 +9,9 @@ Three layers of guarantees:
   yields the same events, the same itlb/icache statistics (under both
   measurement-semantics versions) and the same sweep surfaces as the
   legacy dataclass path;
+* **ITLB reference columns** -- the vectorized packing and placement
+  hashing equal the per-reference loop they replaced, on every
+  registered workload;
 * **zero-object loads** -- deserializing a stored trace constructs no
   ``TraceEvent`` at all, and store round-trips hold for the empty
   trace and a >1M-event trace.
@@ -20,6 +23,8 @@ from array import array
 import pytest
 
 import repro.trace.events as events_module
+from repro.caches.setassoc import stable_hash
+from repro.sweep.runner import _itlb_ref_columns
 from repro.trace.columnar import _INT, Trace, TraceBuilder, as_trace
 from repro.trace.events import TraceEvent, split_warmup
 from repro.trace.cachesim import simulate_icache, simulate_itlb
@@ -191,6 +196,40 @@ class TestWarmupCutOwnership:
 
 def _workload_cases():
     return sorted(names())
+
+
+def _loop_itlb_ref_columns(trace, dispatched_only):
+    """The ITLB (block, placement) columns, one reference at a time."""
+    opcodes = trace.opcodes()
+    classes = trace.receiver_classes()
+    indices = (trace.dispatched_indices() if dispatched_only
+               else range(len(trace)))
+    blocks, placements, hashes = [], [], {}
+    for i in indices:
+        opcode, receiver = opcodes[i], classes[i]
+        packed = (opcode << 32) ^ (receiver & 0xFFFFFFFF)
+        if packed not in hashes:
+            hashes[packed] = stable_hash((opcode, (receiver,)))
+        blocks.append(packed)
+        placements.append(hashes[packed])
+    return blocks, placements
+
+
+class TestItlbRefColumns:
+    @pytest.mark.parametrize("dispatched_only", (True, False))
+    @pytest.mark.parametrize("workload", _workload_cases())
+    def test_columns_equal_the_reference_loop(self, workload,
+                                              dispatched_only,
+                                              shared_store):
+        trace = shared_store.load(workload, quick=True)
+        blocks, placements = _itlb_ref_columns(trace, dispatched_only)
+        expected = _loop_itlb_ref_columns(trace, dispatched_only)
+        assert (blocks.tolist(), placements.tolist()) == expected
+
+    def test_empty_trace_has_empty_columns(self):
+        blocks, placements = _itlb_ref_columns(Trace.from_events([]),
+                                               True)
+        assert len(blocks) == len(placements) == 0
 
 
 class TestColumnarObjectEquivalence:

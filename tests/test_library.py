@@ -14,25 +14,36 @@ Pins the tentpole and its satellites end to end:
 * the big-endian fallback of ``from_buffer``/``from_bytes`` never
   byte-swaps the dispatched bitset (it is byte-order independent);
 * the sweep-result cache -- round-trips byte-identical surfaces,
-  treats corruption as a clean miss, evicts LRU by byte budget, can
-  be disabled by environment, and lets a repeated harness run replay
-  zero references;
+  treats corruption as a clean miss, evicts LRU by byte budget from a
+  running total (one scan, then a rescan only when a put crosses the
+  budget), can be disabled by environment, and lets a repeated
+  harness run replay zero references;
+* the result-cache content key -- equal to the ``asdict``-based key
+  it replaced, spelling for spelling, and pinned literally for a
+  paper-grid spec so existing on-disk caches still hit;
+* the store's memo probe (``peek``) -- never reads or generates.
 * the new fault-injection sites (``store.manifest``,
   ``store.result_cache``) degrade cleanly under chaos.
 """
 
+import hashlib
 import io
 import json
 import os
+import sys
+import threading
+from dataclasses import asdict
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro import faults, telemetry
 from repro.cli import main as cli_main
 from repro.errors import MappedBufferClosed, StoreCorruption
 from repro.faults import FaultPlan
 from repro.sweep import SweepSpec, result_cache_key, run_sweep
-from repro.sweep.runner import _RESULT_CACHES
+from repro.sweep.planner import query_from_request
+from repro.sweep.runner import _RESULT_CACHES, ENGINE_VERSION
 from repro.trace.columnar import MappedTrace, Trace, TraceBuilder
 from repro.trace.events import TraceEvent
 from repro.workloads.library import (
@@ -258,6 +269,22 @@ class TestMappedLifetime:
         metrics = json.loads(
             (tmp_path / "t" / "metrics.json").read_text())
         assert metrics["counters"]["store.mmap_open"] == 1
+
+    def test_peek_returns_only_an_open_trace(self, tmp_path):
+        counter = {"runs": 0}
+        spec = _spec(counter)
+        store = TraceStore(tmp_path)
+        assert store.peek(spec) is None
+        assert counter["runs"] == 0 and store.misses == 0  # no generation
+        events = store.load(spec)
+        assert TraceStore(tmp_path).peek(spec) is None     # no disk read
+        telemetry.install(tmp_path / "t", fresh=True)
+        assert store.peek(spec) is events
+        assert store.peek(spec, length=32) is None         # other params
+        telemetry.finalize()
+        counters = json.loads(
+            (tmp_path / "t" / "metrics.json").read_text())["counters"]
+        assert counters["store.memo_hit"] == 1
 
     def test_closed_trace_raises_typed_error(self, tmp_path):
         store, spec = self._mapped_store(tmp_path)
@@ -523,6 +550,158 @@ class TestResultCache:
         os.utime(cache.path_for(key), (past, past))
         cache.get(key)
         assert os.stat(cache.path_for(key)).st_mtime > past + 500
+
+
+    def test_puts_below_budget_scan_the_directory_once(self, tmp_path,
+                                                         monkeypatch):
+        cache = ResultCache(tmp_path, budget_bytes=1 << 20)
+        scans = []
+        entries = cache._entries
+        monkeypatch.setattr(cache, "_entries",
+                            lambda: scans.append(1) or entries())
+        for n in range(25):
+            cache.put(f"{n:024d}", {"n": n})
+        assert len(scans) <= 1
+        assert cache.stats()["entries"] == 25
+
+    def test_concurrent_puts_lose_no_bytes(self, tmp_path):
+        # Server executor threads share one instance; a lost update to
+        # the running total would let the directory outgrow the budget.
+        cache = ResultCache(tmp_path, budget_bytes=1 << 30)
+        cache.put("0" * 24, {"n": 0})            # seed the total
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(
+                target=lambda t=t: [cache.put(f"{t}{n:023d}", {"n": n})
+                                    for n in range(40)])
+                for t in range(1, 7)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+            assert not any(thread.is_alive() for thread in threads)
+        finally:
+            sys.setswitchinterval(interval)
+        assert cache._bytes == cache.stats()["bytes"]
+        assert cache.stats()["entries"] == 1 + 6 * 40
+
+    def test_put_crossing_the_budget_evicts_in_lru_order(self, tmp_path):
+        cache = ResultCache(tmp_path, budget_bytes=1 << 20)
+        keys = [c * 24 for c in "wxyz"]
+        for n, key in enumerate(keys[:3]):
+            cache.put(key, {"n": n})            # 8 bytes each
+        stamp = os.stat(cache.path_for(keys[0])).st_mtime_ns - 10 ** 9
+        for age, key in ((0, "x" * 24), (1, "w" * 24), (2, "y" * 24)):
+            os.utime(cache.path_for(key), ns=(stamp + age, stamp + age))
+        cache.budget_bytes = 24
+        cache.put(keys[3], {"n": 3})            # 32 bytes: crosses
+        assert cache.stats()["bytes"] <= cache.budget_bytes
+        assert not cache.contains("x" * 24)      # oldest mtime goes
+        assert all(cache.contains(key) for key in ("w" * 24, "y" * 24,
+                                                   "z" * 24))
+
+    def test_two_instances_on_one_root_stay_within_the_shared_bound(
+            self, tmp_path):
+        # Two instances stand in for two processes: neither sees the
+        # other's puts until it rescans.  Between rescans the
+        # directory may hold up to one budget per writer; every put
+        # that rescans leaves it under one budget.
+        budget = 40                             # five 8-byte entries
+        writers = [ResultCache(tmp_path, budget_bytes=budget)
+                   for _ in range(2)]
+        for writer in writers:
+            scans = []
+            entries = writer._entries
+            writer._entries = (lambda entries=entries, scans=scans:
+                               scans.append(1) or entries())
+            writer.scans = scans
+        for n in range(40):
+            writer = writers[n % 2]
+            before = len(writer.scans)
+            writer.put(f"{n:024d}", {"n": n % 10})
+            on_disk = sum(path.stat().st_size for path
+                          in (tmp_path / "results").rglob("*.json"))
+            assert on_disk <= 2 * budget
+            if len(writer.scans) > before:
+                assert on_disk <= budget
+            assert all(w._bytes <= budget for w in writers
+                       if w._bytes is not None)
+        assert all(len(writer.scans) > 1 for writer in writers)
+        for writer in writers:
+            writer.evict()
+            assert writer.stats()["bytes"] <= budget
+
+
+#: Flags the wire format accepts in any JSON spelling; ``1`` and
+#: ``true`` build equal specs but must key apart, as they always have.
+_FLAGS = ("double_pass", "dispatched_only", "full", "opt")
+
+_WIRE_SPECS = st.fixed_dictionaries(
+    {"cache": st.sampled_from(["itlb", "icache"])},
+    optional={
+        "sizes": st.lists(st.sampled_from([8, 16, 32, 64, 128, 4096]),
+                          min_size=1, max_size=4, unique=True),
+        "associativities": st.lists(st.sampled_from([1, 2, 4, "full"]),
+                                    min_size=1, max_size=3, unique=True),
+        "line_words": st.sampled_from([1, 2, 4]),
+        "policy": st.sampled_from(["lru", "fifo", "random"]),
+        "warmup_fraction": st.one_of(st.sampled_from([0, 0.25, 0.5]),
+                                     st.floats(0.0, 0.99)),
+        "semantics": st.sampled_from(["paper", "v2"]),
+        "engine": st.sampled_from(["auto", "grid"]),
+        "label": st.text(max_size=6),
+        **{flag: st.sampled_from([True, False, 1, 0]) for flag in _FLAGS},
+    })
+
+
+def _asdict_key(spec, trace_key):
+    """The result-cache key as it was first defined, via ``asdict``."""
+    identity = asdict(spec)
+    identity.pop("label", None)
+    blob = json.dumps(
+        {"trace": trace_key, "spec": identity,
+         "engine_version": ENGINE_VERSION},
+        sort_keys=True, separators=(",", ":"), default=str)
+    return hashlib.sha256(blob.encode()).hexdigest()[:24]
+
+
+class TestResultCacheKey:
+    TRACE_KEY = "939b675d70083f761461"  # the full-scale paper trace
+
+    @settings(max_examples=300, deadline=None)
+    @given(document=_WIRE_SPECS)
+    def test_key_equals_the_asdict_reference(self, document):
+        try:
+            spec = query_from_request(document).spec
+        except ValueError:
+            return  # an invalid geometry has no key
+        canonical = query_from_request(
+            {key: bool(value) if key in _FLAGS else value
+             for key, value in document.items()}).spec
+        # Interleaved, so a memo keyed on spec equality would hand one
+        # spelling the other's key.
+        for each in (spec, canonical, spec):
+            assert result_cache_key(each, self.TRACE_KEY) \
+                == _asdict_key(each, self.TRACE_KEY)
+
+    def test_non_canonical_spellings_key_apart(self):
+        spelled = {"cache": "itlb", "double_pass": 1}
+        one = query_from_request(spelled).spec
+        true = query_from_request(dict(spelled, double_pass=True)).spec
+        assert one == true
+        assert result_cache_key(true, self.TRACE_KEY) \
+            != result_cache_key(one, self.TRACE_KEY)
+
+    def test_paper_grid_keys_are_pinned(self):
+        # Computed by the asdict-based key: existing on-disk caches
+        # must keep hitting.
+        assert result_cache_key(
+            SweepSpec(cache="itlb", double_pass=True, include_full=True),
+            self.TRACE_KEY) == "5926dcefeb51412f4dba4e8c"
+        assert result_cache_key(SweepSpec(cache="icache"),
+                                self.TRACE_KEY) \
+            == "7dcdec7028bb1fa259090849"
 
 
 # -- the new fault sites --------------------------------------------------

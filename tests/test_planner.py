@@ -543,6 +543,45 @@ class TestCacheInterplay:
         assert sum(report.replays for report in reports) == 1
 
 
+class TestProbeAndReplay:
+    QUERIES = TestCacheInterplay.QUERIES
+
+    def test_probe_then_replay_is_run_batch(self, tmp_path):
+        _, events = _store_trace(tmp_path)
+        probe = planner.probe_batch(self.QUERIES, events,
+                                    surface_cache=SurfaceCache())
+        assert probe.surfaces == [None, None]
+        assert [sorted(group) for group in probe.pending.values()] \
+            == [[0, 1]]
+        batch = planner.replay_batch(probe)
+        assert batch.report.replays == 1
+        fresh = run_batch(self.QUERIES, events.copy(),
+                          surface_cache=SurfaceCache())
+        for got, want in zip(batch.surfaces, fresh.surfaces):
+            _assert_bitwise_equal(got, want)
+
+    def test_warm_probe_is_complete(self, tmp_path):
+        _, events = _store_trace(tmp_path)
+        memory = SurfaceCache()
+        run_batch(self.QUERIES, events, surface_cache=memory)
+        probe = planner.probe_batch(self.QUERIES, events,
+                                    surface_cache=memory)
+        assert not probe.pending
+        assert probe.result().report.memory_hits == 2
+
+    def test_one_content_key_per_query(self, tmp_path, monkeypatch):
+        _, events = _store_trace(tmp_path)
+        memory = SurfaceCache()
+        run_batch(self.QUERIES, events, surface_cache=memory)
+        keyed = []
+        key = planner.result_cache_key
+        monkeypatch.setattr(planner, "result_cache_key",
+                            lambda spec, trace_key:
+                            keyed.append(spec) or key(spec, trace_key))
+        run_batch(self.QUERIES, events, surface_cache=memory)
+        assert keyed == [query.spec for query in self.QUERIES]
+
+
 class TestHierarchyPlanned:
     def test_paper_hierarchy_unchanged_by_planning(self, events):
         hierarchy = paper_hierarchy(include_full=True, include_opt=True)

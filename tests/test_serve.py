@@ -5,12 +5,14 @@ ephemeral localhost port inside ``asyncio.run`` -- the same listener,
 framing sniff, planner hand-off and admission gate production uses.
 Pins: JSONL and HTTP framings on one port, warm requests served from
 cache, per-query and per-request error isolation, explicit overload
-rejection, the ``serve.request`` fault site, ``--max-requests``
+rejection, the one-probe hit path (answered inline, never replaying on
+the event loop), the ``serve.request`` fault site, ``--max-requests``
 shutdown, and the telemetry the report's serving section reads.
 """
 
 import asyncio
 import json
+import threading
 
 import pytest
 
@@ -18,7 +20,7 @@ from repro import faults, telemetry
 from repro.faults import FaultPlan, FaultSpec
 from repro.serve import SweepServer
 from repro.sweep import planner
-from repro.sweep.runner import _RESULT_CACHES
+from repro.sweep.runner import _RESULT_CACHES, _result_cache
 from repro.workloads.store import TraceStore
 
 
@@ -231,6 +233,105 @@ class TestAdmissionControl:
         assert reply["stats"]["served_from_cache"] == 3
 
 
+class TestHitPath:
+    """One probe decides admission and supplies the answers."""
+
+    def test_warm_request_is_answered_inline_without_a_load(
+            self, tmp_path, monkeypatch):
+        loads = []
+        original = TraceStore.load
+
+        def counting_load(store, *args, **kwargs):
+            loads.append(threading.get_ident())
+            return original(store, *args, **kwargs)
+
+        monkeypatch.setattr(TraceStore, "load", counting_load)
+
+        async def scenario(server, port):
+            return await _jsonl(port, _request(), _request(id="r2"))
+
+        cold, warm = _serve(tmp_path, scenario)
+        assert cold["stats"]["inline"] is False
+        assert warm["stats"]["inline"] is True
+        # Only the cold request opened the trace; the warm one found
+        # it open and never took the executor.
+        assert len(loads) == 1
+        assert loads[0] != threading.get_ident()
+
+    def test_probed_answers_survive_eviction_before_projection(
+            self, tmp_path, monkeypatch):
+        memory = planner.SurfaceCache()
+
+        async def scenario(server, port):
+            return await _jsonl(port, _request())
+
+        (cold,) = _serve(tmp_path, scenario, surface_cache=memory)
+        probe_batch = planner.probe_batch
+
+        def probe_then_evict(queries, events, **kwargs):
+            probe = probe_batch(queries, events, **kwargs)
+            # Both tiers lose every entry after the probe has read them.
+            memory.budget_bytes = 0
+            memory.put("evict-everything", {"n": 0})
+            assert len(memory) == 0
+            _result_cache(events.store_root).clear()
+            return probe
+
+        monkeypatch.setattr(planner, "probe_batch", probe_then_evict)
+        (warm,) = _serve(tmp_path, scenario, surface_cache=memory,
+                         queue_limit=0)
+        assert warm["ok"], warm
+        assert warm["stats"]["inline"] is True
+        assert warm["stats"]["replays"] == 0
+        assert warm["stats"]["served_from_cache"] == 3
+        assert warm["results"] == cold["results"]
+
+    def test_no_replay_ever_runs_on_the_event_loop(self, tmp_path,
+                                                    monkeypatch):
+        ran_on = []
+        run_sweep = planner.run_sweep
+
+        def recording_run_sweep(spec, events):
+            ran_on.append(threading.get_ident())
+            return run_sweep(spec, events)
+
+        monkeypatch.setattr(planner, "run_sweep", recording_run_sweep)
+        novel = {"kind": "ratio", "cache": "itlb", "associativity": 2,
+                 "size": 16, "warmup_fraction": 0.125}
+        fallback = {"kind": "stats", "cache": "itlb", "associativity": 1,
+                    "size": 8, "engine": "grid"}
+
+        async def scenario(server, port):
+            replies = await _jsonl(
+                port, _request(), _request(id="r2"),
+                _request(id="r3", queries=QUERIES + [novel]),
+                _request(id="r4", queries=[fallback]))
+            return replies, threading.get_ident()
+
+        replies, loop_thread = _serve(tmp_path, scenario)
+        assert all(reply["ok"] for reply in replies)
+        assert [reply["stats"]["inline"] for reply in replies] \
+            == [False, True, False, False]
+        assert replies[2]["stats"]["replays"] == 1
+        assert replies[3]["stats"]["fallbacks"] == 1
+        assert ran_on and loop_thread not in ran_on
+
+    def test_partially_cached_request_takes_the_gate(self, tmp_path):
+        async def warm(server, port):
+            return await _jsonl(port, _request())
+
+        _serve(tmp_path, warm)
+        novel = {"kind": "ratio", "cache": "icache", "associativity": 1,
+                 "size": 32, "warmup_fraction": 0.375}
+
+        async def scenario(server, port):
+            return await _jsonl(port,
+                                _request(queries=QUERIES + [novel]))
+
+        (reply,) = _serve(tmp_path, scenario, queue_limit=0)
+        assert reply["status"] == "overloaded"
+
+
 class TestFaultSite:
     def test_corrupted_request_bytes_become_bad_requests(self,
                                                          tmp_path):
@@ -294,6 +395,7 @@ class TestLifecycle:
         assert serving["replays"] == 2
         assert serving["coalesced"] == 2
         assert serving["cache_hits_memory"] == 3
+        assert serving["inline"] == 1
         # Replay observations: the itlb group answered 2 queries, the
         # icache group 1 -- mean 1.5.
         assert serving["queries_per_replay"] == 1.5
