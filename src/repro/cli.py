@@ -26,11 +26,10 @@ Subcommands::
                  objects are materialized); --verify audits every
                  stored payload's CRC32 integrity and quarantines
                  the corrupt ones
-    repro store  {stats|verify|gc|migrate} [--trace-dir DIR]
-                 administer the trace library: layout/result-cache
+    repro store  {stats|verify|gc} [--trace-dir DIR]
+                 administer the trace store: layout/result-cache
                  statistics, integrity audit (same as
-                 `repro trace --verify`), index-litter sweep, and
-                 flat-to-sharded layout migration
+                 `repro trace --verify`), and a litter sweep
     repro serve  [--host H] [--port P] [--queue-limit N]
                  [--max-requests N] [--telemetry] [--run-dir DIR]
                  serve batched sweep queries (JSON lines or HTTP)
@@ -221,12 +220,9 @@ def _cmd_store(args: argparse.Namespace) -> int:
         stats = store.stats()
         cache = stats["result_cache"]
         print(f"trace store:  {stats['root']}")
-        print(f"payloads:     {stats['payloads']} "
-              f"({stats['sharded']} sharded across {stats['shards']} "
-              f"shard dir(s), {stats['flat']} flat legacy), "
+        print(f"payloads:     {stats['payloads']} across "
+              f"{stats['shards']} shard dir(s), "
               f"{stats['payload_bytes']} bytes")
-        print(f"manifest:     "
-              f"{'present' if stats['manifest'] else 'absent (rebuilt on demand)'}")
         print(f"quarantined:  {stats['quarantined']}")
         state = ("enabled" if cache["enabled"]
                  else "disabled via $REPRO_RESULT_CACHE")
@@ -235,7 +231,7 @@ def _cmd_store(args: argparse.Namespace) -> int:
               f"bytes ({state})")
         return 0
     if args.action == "gc":
-        report = store.library.gc()
+        report = store.gc()
         print(f"trace store: {store.root}")
         print(f"tmp files removed:       {len(report['tmp_files'])}")
         print(f"orphan sidecars removed: "
@@ -244,20 +240,6 @@ def _cmd_store(args: argparse.Namespace) -> int:
         for kind in ("tmp_files", "orphan_sidecars", "empty_shards"):
             for name in report[kind]:
                 print(f"  - {name}")
-        return 0
-    if args.action == "migrate":
-        report = store.library.migrate()
-        print(f"trace store: {store.root}")
-        print(f"migrated:        {len(report['migrated'])} payload(s) "
-              f"into the sharded layout")
-        for name in report["migrated"]:
-            print(f"  - {name}")
-        print(f"already sharded: {report['already_sharded']}")
-        if report["failed"]:
-            print(f"failed:          {len(report['failed'])}")
-            for name, reason in report["failed"]:
-                print(f"  - {name}: {reason}")
-            return 1
         return 0
     raise AssertionError(f"unhandled store action {args.action!r}")
 
@@ -592,15 +574,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     store_parser = commands.add_parser(
         "store",
-        help="administer the trace library (layout stats, integrity "
-             "audit, index-litter gc, flat-to-sharded migration)")
+        help="administer the trace store (layout stats, integrity "
+             "audit, litter gc)")
     store_parser.add_argument(
-        "action", choices=("stats", "verify", "gc", "migrate"),
+        "action", choices=("stats", "verify", "gc"),
         help="stats: layout + result-cache numbers; verify: audit "
              "every payload (quarantines corruption, reports stale "
              "sidecars); gc: remove orphan sidecars / tmp litter / "
-             "empty shard dirs (payloads are never touched); "
-             "migrate: move legacy flat payloads into shards/")
+             "empty shard dirs (payloads are never touched)")
     store_parser.add_argument("--trace-dir", type=str, default=None)
     store_parser.set_defaults(func=_cmd_store)
 

@@ -13,8 +13,6 @@ Sites
 ========================  ==================================================
 ``store.read``            a trace payload was read from disk (key: filename)
 ``store.write``           a trace payload is about to be written (key: filename)
-``store.manifest``        the library manifest/catalog was read (key: filename);
-                          a torn manifest must rebuild, never fail a load
 ``store.result_cache``    a sweep result-cache entry was read (key: result
                           key); a corrupt entry must be a clean miss
 ``worker.start``          a pool worker process initialized
@@ -71,9 +69,8 @@ from repro.errors import (FaultInjected, InjectedIOError,
                           InjectedTaskError, WorkerCrash)
 
 #: The named injection sites the pipeline is instrumented with.
-SITES = ("store.read", "store.write", "store.manifest",
-         "store.result_cache", "worker.start", "worker.task",
-         "serve.request")
+SITES = ("store.read", "store.write", "store.result_cache",
+         "worker.start", "worker.task", "serve.request")
 
 #: Supported fault kinds (see module docstring).
 KINDS = ("io-error", "corrupt", "truncate", "crash", "slow", "error")

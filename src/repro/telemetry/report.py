@@ -236,18 +236,20 @@ def build_report(data: dict, top: int = 10) -> dict:
     misses = counter_total(metrics, "store.miss")
     memo = counter_total(metrics, "store.memo_hit")
     lookups = hits + misses
+    # Quarantines, like faults below, come from the event log alone:
+    # the event is flushed at once, so a worker that dies right after
+    # quarantining a payload still has it counted.
     store = {
         "hits": hits,
         "misses": misses,
         "memo_hits": memo,
         "generated": counter_total(metrics, "store.generated"),
-        "quarantined": counter_total(metrics, "store.quarantined"),
+        "quarantined": sum(1 for e in data["events"]
+                           if e.get("name") == "store.quarantine"),
         "hit_rate": round(hits / lookups, 4) if lookups else None,
         "memo_hit_rate": (round((hits + memo) / (lookups + memo), 4)
                           if lookups + memo else None),
         "mmap_opens": counter_total(metrics, "store.mmap_open"),
-        "manifest_rebuilds": counter_total(metrics,
-                                           "store.manifest_rebuilt"),
     }
     cache_hits = counter_total(metrics, "result_cache.hit")
     cache_misses = counter_total(metrics, "result_cache.miss")
@@ -396,8 +398,7 @@ def render(report: dict) -> str:
                  f"memo hits {store['memo_hits']:.0f}, "
                  f"generated {store['generated']:.0f}, "
                  f"quarantined {store['quarantined']:.0f}")
-    lines.append(f"  mmap opens {store['mmap_opens']:.0f}, "
-                 f"manifest rebuilds {store['manifest_rebuilds']:.0f}")
+    lines.append(f"  mmap opens {store['mmap_opens']:.0f}")
     cache = report.get("result_cache") or {}
     if cache:
         cache_rate = ("n/a" if cache["hit_rate"] is None

@@ -9,13 +9,16 @@ version)`` -- hashed into a content key -- and keeps it under
 argument) in the columnar binary format of
 :mod:`repro.trace.columnar`.
 
-Layout (see :mod:`repro.workloads.library`): payloads live sharded
-under ``shards/<key[:2]>/``, with per-shard catalogs and a top-level
-``manifest.json`` -- both regenerable indexes, never authoritative.
-Legacy *flat* payloads at the store root keep working unmigrated
-(reads check the shard first, then the root); ``repro store migrate``
-adopts them.  Sweep results are memoized under ``results/`` by the
-:class:`~repro.workloads.library.ResultCache`.
+Layout: this class is the only code that knows it.  A payload lives
+at ``shards/<key[:2]>/<name>-<key>.trace`` (256-way fan-out, so
+directory listings stay small however many workloads are stored) next
+to its ``.json`` sidecar; nothing else is written for it -- no index,
+since the payload files are the only truth and each is regenerable
+from its content key.  Corrupt payloads move to ``quarantine/``, and
+sweep results are memoized under ``results/`` by the
+:class:`~repro.workloads.library.ResultCache`.  A payload anywhere
+else (say, a ``*.trace`` an older layout left at the root) is never
+read: loading that workload regenerates it into its shard.
 
 Load path: on a little-endian host with no fault plan armed, a hit is
 **memory-mapped** -- :meth:`~repro.trace.columnar.Trace.from_buffer`
@@ -26,9 +29,10 @@ first touch.  The store owns every mapping it opens;
 raise the typed :class:`~repro.errors.MappedBufferClosed`; use
 :meth:`~repro.trace.columnar.Trace.copy` first to keep data).  The
 copying ``read -> from_bytes`` path remains for big-endian hosts,
-for ``REPRO_STORE_MMAP=0``, and whenever a fault plan is armed --
-payload-mutating chaos needs the byte stream, and this keeps
-injection sequences identical to the pre-mmap store.
+whenever a fault plan is armed -- payload-mutating chaos needs the
+byte stream, and this keeps injection sequences identical to the
+pre-mmap store -- and when :meth:`TraceStore.deserialize` is
+replaced.
 
 Cache rules:
 
@@ -82,15 +86,13 @@ from repro import faults, telemetry
 from repro.errors import PayloadFormatError, StoreCorruption
 from repro.trace.columnar import (FORMAT_VERSION, MappedTrace, Trace,
                                   as_trace)
-from repro.workloads.library import ResultCache, TraceLibrary
+from repro.workloads.library import ResultCache
 from repro.workloads.spec import WorkloadSpec, get as get_spec
 
-#: Subdirectory (under the store root) corrupt payloads are moved to.
+#: Subdirectories of the store root: payload shards, and corrupt
+#: payloads moved aside.
+SHARDS_DIR = "shards"
 QUARANTINE_DIR = "quarantine"
-
-#: ``REPRO_STORE_MMAP=0`` forces the copying read path everywhere
-#: (debugging aid; also useful on filesystems where mapping is slow).
-ENV_MMAP = "REPRO_STORE_MMAP"
 
 
 def default_root() -> Path:
@@ -109,7 +111,6 @@ class TraceStore:
 
     def __init__(self, root: Optional[os.PathLike] = None) -> None:
         self.root = Path(root) if root is not None else default_root()
-        self.library = TraceLibrary(self.root)
         self.hits = 0
         self.misses = 0
         self.generated = 0
@@ -135,22 +136,9 @@ class TraceStore:
 
     def path_for(self, spec: WorkloadSpec,
                  params: Mapping[str, object]) -> Path:
-        """The canonical (sharded) location of one trace payload."""
+        """The one location of a trace payload."""
         key = self.key_for(spec, params)
-        return self.library.shard_path(f"{spec.name}-{key}.trace", key)
-
-    def _locate(self, name: str, key: str) -> Path:
-        """Where to read a payload: the shard when present, a legacy
-        flat file when one exists unmigrated, the shard otherwise
-        (the canonical home a fresh write will create)."""
-        filename = f"{name}-{key}.trace"
-        sharded = self.library.shard_path(filename, key)
-        if sharded.exists():
-            return sharded
-        flat = self.root / filename
-        if flat.exists():
-            return flat
-        return sharded
+        return self.root / SHARDS_DIR / key[:2] / f"{spec.name}-{key}.trace"
 
     # -- load / materialize ---------------------------------------------
 
@@ -208,8 +196,7 @@ class TraceStore:
                                      overrides)
         before = self.generated
         self._load_resolved(spec, params)
-        return (self._locate(spec.name, self.key_for(spec, params)),
-                self.generated == before)
+        return self.path_for(spec, params), self.generated == before
 
     def _load_resolved(self, spec: WorkloadSpec,
                        params: Mapping[str, object]) -> Trace:
@@ -218,7 +205,7 @@ class TraceStore:
         if memo is not None:
             telemetry.inc("store.memo_hit")
             return memo
-        path = self._locate(spec.name, key)
+        path = self.path_for(spec, params)
         with telemetry.span("store.load", workload=spec.name) as sp:
             events = self._read(path)
             if events is not None:
@@ -235,10 +222,7 @@ class TraceStore:
                 telemetry.inc("store.miss")
                 telemetry.inc("store.generated")
                 events = as_trace(spec.generate(params))
-                # Writes always land in the shard: the store adopts
-                # the new layout one (re)generated payload at a time.
-                path = self.path_for(spec, params)
-                self._write(path, spec, params, events, key)
+                self._write(path, spec, params, events)
                 sp.set(outcome="generated", events=len(events))
         events.store_key = key
         events.store_root = str(self.root)
@@ -261,16 +245,11 @@ class TraceStore:
         """Zero-copy reads apply only when nothing needs the byte
         stream: chaos plans mutate payload bytes in flight, so any
         armed plan routes reads through the legacy path (keeping
-        injection sequences identical to the pre-mmap store)."""
-        if os.environ.get(ENV_MMAP, "1").strip().lower() in (
-                "0", "off", "false", "no"):
-            return False
-        if self.deserialize is not _DEFAULT_DESERIALIZE:
-            # A subclass (or a test) replaced the payload decoder;
-            # the zero-copy path would bypass it, so honor the
-            # override by reading bytes through it instead.
-            return False
-        return faults.active_plan() is None
+        injection sequences identical to the pre-mmap store).  A
+        subclass (or a test) that replaced the payload decoder is
+        honored the same way: the zero-copy path would bypass it."""
+        return self.deserialize is _DEFAULT_DESERIALIZE \
+            and faults.active_plan() is None
 
     def _read_mapped(self, path: Path) -> Tuple[bool, Optional[Trace]]:
         """(handled, trace): ``handled=False`` falls back to the
@@ -360,7 +339,6 @@ class TraceStore:
         except OSError:
             return None
         self.quarantined += 1
-        telemetry.inc("store.quarantined")
         telemetry.event("store.quarantine", file=path.name, reason=reason)
         sidecar = path.with_suffix(".json")
         try:
@@ -375,8 +353,6 @@ class TraceStore:
                 indent=2, sort_keys=True) + "\n")
         except OSError:
             pass
-        from repro.workloads.library import key_of_payload
-        self.library.forget_entry(key_of_payload(path))
         return destination
 
     def _sidecar_mismatch(self, path: Path) -> Optional[str]:
@@ -432,7 +408,7 @@ class TraceStore:
         """
         report = {"checked": 0, "ok": 0, "stale": [], "corrupt": [],
                   "mismatched": []}
-        for path in self.library.payload_paths():
+        for path in self.payload_paths():
             report["checked"] += 1
             try:
                 self.deserialize(path.read_bytes())
@@ -451,8 +427,7 @@ class TraceStore:
         return report
 
     def _write(self, path: Path, spec: WorkloadSpec,
-               params: Mapping[str, object], events: Trace,
-               key: str) -> None:
+               params: Mapping[str, object], events: Trace) -> None:
         try:
             with telemetry.span("store.write", file=path.name) as sp:
                 path.parent.mkdir(parents=True, exist_ok=True)
@@ -474,7 +449,6 @@ class TraceStore:
                     raise
             self._write_sidecar(path, self._sidecar_meta(
                 spec.name, spec.version, params, events))
-            self.library.record_entry(path, key)
         except OSError:
             # The store is a cache: failing to persist must never fail
             # the run that produced the trace.
@@ -549,16 +523,15 @@ class TraceStore:
     def entries(self) -> List[dict]:
         """Sidecar metadata for every materialized trace.
 
-        Enumerates the binary payloads (sharded and legacy flat), not
-        the sidecars: a trace whose sidecar is missing or corrupt is
-        still listed, with its metadata reconstructed from the
-        payload (workload name from the file name, event counts from
-        the columns; the generator version and parameters are
-        unrecoverable and marked so) and the sidecar healed on disk
-        for the next caller.
+        Enumerates the binary payloads, not the sidecars: a trace
+        whose sidecar is missing or corrupt is still listed, with its
+        metadata reconstructed from the payload (workload name from
+        the file name, event counts from the columns; the generator
+        version and parameters are unrecoverable and marked so) and
+        the sidecar healed on disk for the next caller.
         """
         out = []
-        for trace_path in self.library.payload_paths():
+        for trace_path in self.payload_paths():
             meta = self._read_sidecar(trace_path)
             if meta is None:
                 events = self._read(trace_path)
@@ -581,14 +554,64 @@ class TraceStore:
                 counts[name] = counts.get(name, 0) + 1
         return counts
 
+    def payload_paths(self) -> List[Path]:
+        """Every stored payload, shard by shard, sorted by path."""
+        return sorted((self.root / SHARDS_DIR).glob("*/*.trace"))
+
+    def gc(self) -> dict:
+        """Sweep litter: leftover ``*.tmp`` files from interrupted
+        atomic writes, orphan sidecars (no payload beside them) and
+        empty shard directories.  Payloads themselves are never
+        touched -- deleting cached traces is what eviction policies
+        are for, and the trace store deliberately has none
+        (content-keyed entries are immutable and always valid)."""
+        report = {"orphan_sidecars": [], "tmp_files": [],
+                  "empty_shards": []}
+        shards = [shard for shard in sorted((self.root / SHARDS_DIR)
+                                            .glob("*")) if shard.is_dir()]
+        for directory in [self.root] + shards:
+            for tmp in sorted(directory.glob("*.tmp")):
+                if _remove(tmp):
+                    report["tmp_files"].append(tmp.name)
+            for sidecar in sorted(directory.glob("*.json")):
+                if not sidecar.with_suffix(".trace").exists() \
+                        and _remove(sidecar):
+                    report["orphan_sidecars"].append(sidecar.name)
+        for shard in shards:
+            try:
+                shard.rmdir()  # refuses unless empty
+            except OSError:
+                continue
+            report["empty_shards"].append(shard.name)
+        return report
+
     def stats(self) -> dict:
         """Layout + result-cache numbers for ``repro store stats``."""
-        stats = self.library.stats()
-        stats["quarantined"] = len(list(
-            (self.root / QUARANTINE_DIR).glob("*.trace"))) \
-            if (self.root / QUARANTINE_DIR).is_dir() else 0
-        stats["result_cache"] = self.result_cache().stats()
-        return stats
+        payloads = self.payload_paths()
+        payload_bytes = 0
+        for path in payloads:
+            try:
+                payload_bytes += path.stat().st_size
+            except OSError:
+                pass
+        return {
+            "root": str(self.root),
+            "payloads": len(payloads),
+            "shards": len({path.parent.name for path in payloads}),
+            "payload_bytes": payload_bytes,
+            "quarantined": len(list(
+                (self.root / QUARANTINE_DIR).glob("*.trace"))),
+            "result_cache": self.result_cache().stats(),
+        }
+
+
+def _remove(path: Path) -> bool:
+    """Unlink *path*; False when it could not be removed."""
+    try:
+        path.unlink()
+    except OSError:
+        return False
+    return True
 
 
 #: The stock payload decoder; the mmap fast path only applies while

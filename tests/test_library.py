@@ -1,11 +1,12 @@
-"""The trace library PR's acceptance surface.
+"""The trace store's layout, zero-copy loading and result cache.
 
-Pins the tentpole and its satellites end to end:
+Pinned end to end:
 
-* sharded layout -- writes land under ``shards/<key[:2]>/``, legacy
-  flat payloads stay readable unmigrated, ``migrate`` adopts them
-  byte-identically, and a torn/corrupt/version-skewed manifest is
-  never fatal (rebuilt from the payloads, which are the truth);
+* one store layout -- a load writes exactly a payload and its
+  sidecar under ``shards/<key[:2]>/`` and no index file anywhere, a
+  payload left at the store root by an older layout is ignored (the
+  load regenerates into the shard), ``gc`` sweeps litter and never a
+  payload, and ``repro store migrate`` is gone;
 * sidecar audit -- ``store.verify()`` REPORTS params/key mismatches
   (stale metadata) without quarantining the healthy payload;
 * mmap zero-copy loading -- loads are views over the mapped payload,
@@ -22,8 +23,8 @@ Pins the tentpole and its satellites end to end:
   it replaced, spelling for spelling, and pinned literally for a
   paper-grid spec so existing on-disk caches still hit;
 * the store's memo probe (``peek``) -- never reads or generates.
-* the new fault-injection sites (``store.manifest``,
-  ``store.result_cache``) degrade cleanly under chaos.
+* the ``store.result_cache`` fault-injection site degrades cleanly
+  under chaos.
 """
 
 import hashlib
@@ -46,14 +47,9 @@ from repro.sweep.planner import query_from_request
 from repro.sweep.runner import _RESULT_CACHES, ENGINE_VERSION
 from repro.trace.columnar import MappedTrace, Trace, TraceBuilder
 from repro.trace.events import TraceEvent
-from repro.workloads.library import (
-    MANIFEST_NAME,
-    SHARDS_DIR,
-    ResultCache,
-    TraceLibrary,
-)
+from repro.workloads.library import ResultCache
 from repro.workloads.spec import WorkloadSpec
-from repro.workloads.store import QUARANTINE_DIR, TraceStore
+from repro.workloads.store import QUARANTINE_DIR, SHARDS_DIR, TraceStore
 
 
 @pytest.fixture(autouse=True)
@@ -63,7 +59,6 @@ def _clean_state(monkeypatch):
     monkeypatch.delenv(telemetry.ENV_DIR, raising=False)
     monkeypatch.delenv("REPRO_RESULT_CACHE", raising=False)
     monkeypatch.delenv("REPRO_RESULT_CACHE_BYTES", raising=False)
-    monkeypatch.delenv("REPRO_STORE_MMAP", raising=False)
     monkeypatch.setattr(faults, "_ACTIVE", None)
     monkeypatch.setattr(faults, "_ACTIVE_SOURCE", None)
     monkeypatch.setattr(telemetry, "_RECORDER", None)
@@ -84,10 +79,10 @@ def _spec(counter, name="synthetic"):
                         build=build, defaults={"length": 64})
 
 
-# -- sharded layout / manifest --------------------------------------------
+# -- the one store layout -------------------------------------------------
 
 class TestShardedLayout:
-    def test_write_lands_in_shard_with_manifest(self, tmp_path):
+    def test_fresh_load_writes_only_payload_and_sidecar(self, tmp_path):
         counter = {"runs": 0}
         store = TraceStore(tmp_path)
         spec = _spec(counter)
@@ -95,76 +90,30 @@ class TestShardedLayout:
         key = store.trace_key(spec)
         payload = tmp_path / SHARDS_DIR / key[:2] / \
             f"synthetic-{key}.trace"
-        assert payload.is_file()
-        assert payload.with_suffix(".json").is_file()
-        manifest = json.loads((tmp_path / MANIFEST_NAME).read_text())
-        assert key in manifest["entries"]
-        entry = manifest["entries"][key]
-        assert entry["bytes"] == payload.stat().st_size
-        assert entry["shard"] == key[:2]
-        catalog = store.library.read_catalog(key[:2])
-        assert key in catalog["entries"]
+        assert store.path_for(spec, spec.resolve()) == payload
+        files = [p for p in tmp_path.rglob("*") if p.is_file()]
+        assert sorted(files) == [payload.with_suffix(".json"), payload]
 
-    def test_flat_legacy_payload_reads_without_migration(self, tmp_path):
-        counter = {"runs": 0}
-        spec = _spec(counter)
-        sharded = TraceStore(tmp_path)
-        events = sharded.load(spec)
-        key = sharded.trace_key(spec)
-        # Demote the payload to the PR-5 flat layout by hand.
-        src = sharded.path_for(spec, spec.resolve())
-        flat = tmp_path / src.name
-        os.replace(src, flat)
-        os.replace(src.with_suffix(".json"), flat.with_suffix(".json"))
-
-        store = TraceStore(tmp_path)
-        loaded = store.load(spec)
-        assert counter["runs"] == 1  # read, not regenerated
-        assert loaded == events
-        assert loaded.store_key == key
-
-    def test_migrate_adopts_flat_files_byte_identically(self, tmp_path):
+    def test_root_level_legacy_payload_is_ignored(self, tmp_path):
         counter = {"runs": 0}
         spec = _spec(counter)
         store = TraceStore(tmp_path)
         store.load(spec)
-        src = store.path_for(spec, spec.resolve())
-        flat = tmp_path / src.name
-        os.replace(src, flat)
-        blob = flat.read_bytes()
+        sharded = store.path_for(spec, spec.resolve())
+        fresh_bytes = sharded.read_bytes()
+        # Demote the payload to the old flat layout at the root.
+        flat = tmp_path / sharded.name
+        os.replace(sharded, flat)
+        os.replace(sharded.with_suffix(".json"), flat.with_suffix(".json"))
 
-        library = TraceLibrary(tmp_path)
-        report = library.migrate()
-        assert report["migrated"] == [flat.name]
-        assert not report["failed"]
-        assert not flat.exists()
-        assert src.read_bytes() == blob
-        # A second migrate is a no-op that counts the sharded entry.
-        again = library.migrate()
-        assert again["migrated"] == []
-        assert again["already_sharded"] == 1
-
-    @pytest.mark.parametrize("damage", [
-        lambda p: p.write_text("{torn"),
-        lambda p: p.write_text(json.dumps({"manifest_version": 99,
-                                           "entries": {}})),
-        lambda p: p.write_text(json.dumps({"no": "entries"})),
-        lambda p: p.unlink(),
-    ], ids=["torn", "version-skew", "shape", "missing"])
-    def test_bad_manifest_is_rebuilt_not_fatal(self, tmp_path, damage):
-        counter = {"runs": 0}
-        spec = _spec(counter)
-        store = TraceStore(tmp_path)
-        events = store.load(spec)
-        key = store.trace_key(spec)
-        damage(tmp_path / MANIFEST_NAME)
-        library = TraceLibrary(tmp_path)
-        assert library.read_manifest() is None
-        document = library.manifest()  # heals from the payloads
-        assert key in document["entries"]
-        # And loading still works off the payload regardless.
-        assert TraceStore(tmp_path).load(spec) == events
-        assert counter["runs"] == 1
+        reloaded = TraceStore(tmp_path)
+        events = reloaded.load(spec)
+        assert counter["runs"] == 2  # regenerated, not read from root
+        assert reloaded.generated == 1
+        assert sharded.read_bytes() == fresh_bytes
+        assert events.to_bytes() == fresh_bytes
+        assert reloaded.payload_paths() == [sharded]
+        assert flat.read_bytes() == fresh_bytes  # left untouched
 
     def test_gc_sweeps_litter_only(self, tmp_path):
         counter = {"runs": 0}
@@ -175,25 +124,42 @@ class TestShardedLayout:
         (payload.parent / "x.tmp").write_text("leftover")
         orphan = payload.parent / "ghost-aaaa.json"
         orphan.write_text("{}")
+        # Index files an older store kept are orphan sidecars too.
+        (tmp_path / "manifest.json").write_text("{}")
+        (payload.parent / "catalog.json").write_text("{}")
         empty = tmp_path / SHARDS_DIR / "zz"
         empty.mkdir(parents=True)
-        report = store.library.gc()
+        report = store.gc()
         assert report["tmp_files"] == ["x.tmp"]
-        assert report["orphan_sidecars"] == ["ghost-aaaa.json"]
+        assert report["orphan_sidecars"] == [
+            "manifest.json", "catalog.json", "ghost-aaaa.json"]
         assert report["empty_shards"] == ["zz"]
         assert payload.exists()
         assert payload.with_suffix(".json").exists()
+        assert store.gc() == {"orphan_sidecars": [], "tmp_files": [],
+                              "empty_shards": []}
+        assert TraceStore(tmp_path).load(spec) == store.load(spec)
+        assert counter["runs"] == 1  # the payload survived both sweeps
 
     def test_stats_counts_layout(self, tmp_path):
         counter = {"runs": 0}
         store = TraceStore(tmp_path)
-        store.load(_spec(counter))
+        assert store.stats()["payloads"] == store.stats()["shards"] == 0
+        specs = [_spec(counter, name) for name in ("alpha", "beta",
+                                                    "gamma")]
+        for spec in specs:
+            store.load(spec)
+        paths = [store.path_for(spec, spec.resolve()) for spec in specs]
         stats = store.stats()
-        assert stats["payloads"] == stats["sharded"] == 1
-        assert stats["flat"] == 0
-        assert stats["payload_bytes"] > 0
-        assert stats["manifest"] is True
+        assert stats["payloads"] == 3
+        assert stats["shards"] == len({path.parent for path in paths})
+        assert stats["payload_bytes"] == sum(path.stat().st_size
+                                             for path in paths)
+        assert stats["quarantined"] == 0
         assert stats["result_cache"]["entries"] == 0
+        assert set(stats) == {"root", "payloads", "shards",
+                              "payload_bytes", "quarantined",
+                              "result_cache"}
 
 
 # -- satellite: sidecar audit ---------------------------------------------
@@ -320,12 +286,6 @@ class TestMappedLifetime:
         assert len(duplicate) == 64
         assert not isinstance(duplicate, MappedTrace)
         assert duplicate == TraceStore(tmp_path).load(spec)
-
-    def test_env_var_disables_mmap(self, tmp_path, monkeypatch):
-        store, spec = self._mapped_store(tmp_path)
-        monkeypatch.setenv("REPRO_STORE_MMAP", "0")
-        events = store.load(spec)
-        assert not isinstance(events, MappedTrace)
 
     def test_mapped_corruption_still_quarantines(self, tmp_path):
         counter = {"runs": 0}
@@ -704,25 +664,9 @@ class TestResultCacheKey:
             == "7dcdec7028bb1fa259090849"
 
 
-# -- the new fault sites --------------------------------------------------
+# -- fault sites ----------------------------------------------------------
 
 class TestNewFaultSites:
-    def test_manifest_corruption_heals_by_rebuild(self, tmp_path):
-        counter = {"runs": 0}
-        spec = _spec(counter)
-        store = TraceStore(tmp_path)
-        events = store.load(spec)
-        plan = FaultPlan.parse("store.manifest:corrupt:times=1", seed=7)
-        faults.install(plan)
-        try:
-            library = TraceLibrary(tmp_path)
-            assert library.read_manifest() is None  # injected tear
-            document = library.manifest()           # heals
-        finally:
-            faults.install(None)
-        assert document["entries"]
-        assert TraceStore(tmp_path).load(spec) == events
-
     def test_result_cache_corruption_is_a_miss_under_chaos(
             self, tmp_path):
         store, events, _ = _store_trace(tmp_path)
@@ -761,21 +705,21 @@ class TestStoreCli:
         assert cli_main(["store", "stats",
                          "--trace-dir", str(tmp_path)]) == 0
         out = capsys.readouterr().out
-        assert "payloads:     1" in out
+        assert "payloads:     1 across 1 shard dir(s)" in out
         assert "result cache:" in out
-
-        payload = next(store.library.payload_paths())
-        flat = tmp_path / payload.name
-        os.replace(payload, flat)
-        assert cli_main(["store", "migrate",
-                         "--trace-dir", str(tmp_path)]) == 0
-        assert "migrated:        1" in capsys.readouterr().out
-        assert not flat.exists()
+        assert "flat" not in out and "manifest" not in out
 
         (tmp_path / "junk.tmp").write_text("x")
         assert cli_main(["store", "gc",
                          "--trace-dir", str(tmp_path)]) == 0
         assert "tmp files removed:       1" in capsys.readouterr().out
+
+        # The flat-to-sharded migration is gone: argparse's usage
+        # error, exit status 2.
+        with pytest.raises(SystemExit) as exited:
+            cli_main(["store", "migrate", "--trace-dir", str(tmp_path)])
+        assert exited.value.code == 2
+        assert "invalid choice: 'migrate'" in capsys.readouterr().err
 
     def test_verify_reports_mismatches_with_exit_zero(self, tmp_path,
                                                       capsys):

@@ -19,7 +19,7 @@ from repro.faults import FaultPlan
 from repro.trace.columnar import FORMAT_VERSION, Trace
 from repro.trace.events import TraceEvent
 from repro.workloads.spec import WorkloadSpec
-from repro.workloads.store import QUARANTINE_DIR, TraceStore
+from repro.workloads.store import QUARANTINE_DIR, SHARDS_DIR, TraceStore
 
 
 @pytest.fixture(autouse=True)
@@ -179,8 +179,9 @@ class TestQuarantine:
         blob = bytearray(bad_path.read_bytes())
         blob[-1] ^= 0x01
         bad_path.write_bytes(bytes(blob))
-        (tmp_path / "stale-0000.trace").write_bytes(
-            b"RTRC\x02" + b"\x00" * 32)
+        stale = tmp_path / SHARDS_DIR / "00" / "stale-0000.trace"
+        stale.parent.mkdir(parents=True, exist_ok=True)
+        stale.write_bytes(b"RTRC\x02" + b"\x00" * 32)
         report = TraceStore(tmp_path).verify()
         assert report["checked"] == 3
         assert report["ok"] == 1

@@ -13,7 +13,9 @@ including the quirky ones pinned in test_tracesim.py, and under
 dedicated gate.
 """
 
+import hashlib
 import random
+import tempfile
 from dataclasses import replace
 
 import pytest
@@ -34,7 +36,9 @@ from repro.sweep import (
     run_hierarchy,
     run_sweep,
 )
+from repro.sweep.runner import _RESULT_CACHES
 from repro.trace.cachesim import simulate_icache, simulate_itlb
+from repro.trace.columnar import as_trace
 from repro.trace.events import TraceEvent
 
 
@@ -252,8 +256,8 @@ def _oracle_chain_cases(draw):
 
 class TestOracleChain:
     """Random tiny traces and geometries: the stack-distance engine,
-    the grid engine and the batch planner agree bitwise, and OPT
-    matches a brute-force Belady MIN."""
+    the grid engine, the batch planner and both cache tiers agree
+    bitwise, and OPT matches a brute-force Belady MIN."""
 
     @settings(max_examples=150, deadline=None)
     @given(_oracle_chain_cases())
@@ -275,6 +279,36 @@ class TestOracleChain:
             assert surface.counts == solo.counts
             assert surface.opt_counts == solo.opt_counts
             assert surface.meta == solo.meta
+
+        # Cache-served link: the batch again over the trace stamped as
+        # a stored one under a fresh root (tempfile, not tmp_path:
+        # hypothesis reuses function-scoped fixtures), answered cold,
+        # warm from the memory tier, then warm from the disk tier
+        # alone (a new SurfaceCache).
+        stored = as_trace(events)
+        stored.store_key = hashlib.sha256(
+            stored.to_bytes()).hexdigest()[:20]
+        with tempfile.TemporaryDirectory() as root:
+            stored.store_root = root
+            memory = SurfaceCache()
+            try:
+                cold = run_batch(queries, stored, surface_cache=memory)
+                warm_memory = run_batch(queries, stored,
+                                        surface_cache=memory)
+                warm_disk = run_batch(queries, stored,
+                                      surface_cache=SurfaceCache())
+            finally:
+                _RESULT_CACHES.pop(root, None)
+        answers = (cold, warm_memory, warm_disk)
+        assert [each.report.replays for each in answers] == [1, 0, 0]
+        assert warm_memory.report.memory_hits == len(queries)
+        assert warm_disk.report.disk_hits == len(queries)
+        for answered in answers:
+            for surface, reference in zip(answered.surfaces,
+                                          batch.surfaces):
+                assert surface.counts == reference.counts
+                assert surface.opt_counts == reference.opt_counts
+                assert surface.meta == reference.meta
 
         blocks = _oracle_blocks(spec, events)
         hits, misses = auto.cell(first, spec.sizes[0])

@@ -227,6 +227,7 @@ class TestReport:
                     pass
         telemetry.inc("store.hit", 3)
         telemetry.inc("store.miss", 1)
+        telemetry.event("store.quarantine", file="x.trace", reason="crc")
         telemetry.finalize()
         telemetry.install(None)
         return run_dir
@@ -246,6 +247,7 @@ class TestReport:
         assert report["task_spans"] == 1
         assert report["task_counter"] == 1
         assert report["store"]["hit_rate"] == 0.75
+        assert report["store"]["quarantined"] == 1
         (slowest,) = report["slowest_tasks"]
         assert slowest["task"] == "FIG-10"
         text = telemetry_report.render(report)

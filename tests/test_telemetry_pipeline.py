@@ -198,6 +198,31 @@ class TestChaos:
             "kind=error,site=worker.task": len(LIGHT)}
         assert report["robustness"]["retries"] == len(LIGHT)
 
+    def test_quarantine_count_is_derived_from_the_event_log(
+            self, tmp_path):
+        # FIG-10 --quick is the cheapest spec that reads a stored
+        # trace, so a corrupt read quarantines exactly one payload.
+        common = dict(only=["FIG-10"], quick=True,
+                      trace_dir=str(tmp_path / "t"))
+        run_all(stream=io.StringIO(), run_dir=str(tmp_path / "r1"),
+                **common)
+        stream = io.StringIO()
+        run_all(stream=stream, run_dir=str(tmp_path / "r2"),
+                retries=2, backoff=0.0,
+                fault_plan="store.read:corrupt:times=1", fault_seed=5,
+                with_telemetry=True, **common)
+        data = _load(tmp_path / "r2")
+        quarantines = [e for e in data["events"]
+                       if e.get("name") == "store.quarantine"]
+        assert len(quarantines) == 1
+        report = telemetry_report.build_report(data)
+        assert report["store"]["quarantined"] == len(quarantines)
+        assert "quarantined 1" in telemetry_report.render(report)
+        assert "1 quarantined payloads" in stream.getvalue()
+        # One source: no counter double-books the event.
+        assert telemetry_report.counter_total(
+            data["metrics"], "store.quarantined") == 0
+
     def test_claims_identical_across_off_on_and_chaos(self, tmp_path):
         plain = run_all(stream=io.StringIO(), only=LIGHT,
                         trace_dir=str(tmp_path / "t"),
